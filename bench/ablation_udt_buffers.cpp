@@ -34,7 +34,7 @@ double measure(std::size_t buffer_bytes, double seconds) {
 
   std::shared_ptr<UdtConnection> server;
   std::uint64_t received = 0;
-  UdtListener listener(b, 90, ucfg, [&](auto conn) {
+  UdtConnection::Listener listener(b, 90, ucfg, [&](auto conn) {
     server = conn;
     server->set_on_data(
         [&](std::span<const std::uint8_t> d) { received += d.size(); });

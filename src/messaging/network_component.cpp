@@ -9,6 +9,57 @@
 
 namespace kmsg::messaging {
 
+namespace {
+
+/// How NetworkComponent opens and accepts one stream transport: the
+/// engine's connect function, its listener, and the offset the listener
+/// adds to the announced port.
+struct StreamTransport {
+  Transport transport;
+  netsim::Port port_offset;
+  std::shared_ptr<transport::StreamConnection> (*connect)(
+      netsim::Host&, netsim::HostId, netsim::Port, const NetworkConfig&);
+  std::unique_ptr<transport::StreamListener> (*listen)(
+      netsim::Host&, netsim::Port, const NetworkConfig&,
+      transport::StreamListener::AcceptFn);
+};
+
+/// Table entry for engine `Conn`, configured by NetworkConfig::*kConfig.
+template <class Conn, auto kConfig>
+constexpr StreamTransport stream_transport(Transport t, netsim::Port offset) {
+  return {t, offset,
+          [](netsim::Host& host, netsim::HostId dst, netsim::Port port,
+             const NetworkConfig& cfg)
+              -> std::shared_ptr<transport::StreamConnection> {
+            return Conn::connect(host, dst, port, cfg.*kConfig);
+          },
+          [](netsim::Host& host, netsim::Port port, const NetworkConfig& cfg,
+             transport::StreamListener::AcceptFn on_accept)
+              -> std::unique_ptr<transport::StreamListener> {
+            return std::make_unique<typename Conn::Listener>(
+                host, port, cfg.*kConfig, std::move(on_accept));
+          }};
+}
+
+constexpr StreamTransport kStreamTransports[] = {
+    stream_transport<transport::TcpConnection, &NetworkConfig::tcp>(
+        Transport::kTcp, 0),
+    stream_transport<transport::UdtConnection, &NetworkConfig::udt>(
+        Transport::kUdt, 1),
+    stream_transport<transport::LedbatConnection, &NetworkConfig::ledbat>(
+        Transport::kLedbat, 2),
+};
+
+/// The table entry for `t`, or null when `t` is not a stream transport.
+const StreamTransport* find_stream_transport(Transport t) {
+  for (const auto& e : kStreamTransports) {
+    if (e.transport == t) return &e;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 NotifyId next_notify_id() {
   static std::atomic<NotifyId> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
@@ -98,9 +149,7 @@ void NetworkComponent::teardown() {
   for (auto& in : inbound_) {
     if (in->conn && !in->closed) doomed.push_back(in->conn);
   }
-  tcp_listener_.reset();
-  udt_listener_.reset();
-  ledbat_listener_.reset();
+  listeners_.clear();
   udp_.reset();
   // Inbound records are reaped by the aborts' deferred on_closed handlers —
   // freeing them here would leave each connection's on_data callback with a
@@ -110,41 +159,23 @@ void NetworkComponent::teardown() {
 
 void NetworkComponent::start_listeners() {
   const auto self = config_.self;
-  if (config_.listen_tcp) {
-    tcp_listener_ = std::make_unique<transport::TcpListener>(
-        host_, self.port, config_.tcp,
-        [this](std::shared_ptr<transport::TcpConnection> conn) {
+  for (const auto& e : kStreamTransports) {
+    const Transport t = e.transport;
+    listeners_.push_back(e.listen(
+        host_, static_cast<netsim::Port>(self.port + e.port_offset), config_,
+        [this, t](std::shared_ptr<transport::StreamConnection> conn) {
           ++stats_.sessions_accepted;
-          attach_inbound(std::move(conn), Transport::kTcp);
-        });
+          attach_inbound(std::move(conn), t);
+        }));
   }
-  if (config_.listen_udt) {
-    udt_listener_ = std::make_unique<transport::UdtListener>(
-        host_, static_cast<netsim::Port>(self.port + kUdtPortOffset),
-        config_.udt, [this](std::shared_ptr<transport::UdtConnection> conn) {
-          ++stats_.sessions_accepted;
-          attach_inbound(std::move(conn), Transport::kUdt);
+  udp_ = transport::UdpEndpoint::open(host_, self.port, config_.udp);
+  if (udp_) {
+    udp_->set_on_message(
+        [this](netsim::HostId, netsim::Port, wire::BufSlice payload) {
+          deliver_udp(std::move(payload));
         });
-  }
-  if (config_.listen_ledbat) {
-    ledbat_listener_ = std::make_unique<transport::LedbatListener>(
-        host_, static_cast<netsim::Port>(self.port + kLedbatPortOffset),
-        config_.ledbat,
-        [this](std::shared_ptr<transport::LedbatConnection> conn) {
-          ++stats_.sessions_accepted;
-          attach_inbound(std::move(conn), Transport::kLedbat);
-        });
-  }
-  if (config_.listen_udp) {
-    udp_ = transport::UdpEndpoint::open(host_, self.port, config_.udp);
-    if (udp_) {
-      udp_->set_on_message(
-          [this](netsim::HostId, netsim::Port, wire::BufSlice payload) {
-            deliver_udp(std::move(payload));
-          });
-    } else {
-      KMSG_ERROR("network") << "UDP bind failed on port " << self.port;
-    }
+  } else {
+    KMSG_ERROR("network") << "UDP bind failed on port " << self.port;
   }
 }
 
@@ -223,8 +254,7 @@ void NetworkComponent::handle_outgoing(MsgPtr msg, std::optional<NotifyId> notif
     send_udp(*msg, notify);
     return;
   }
-  if (proto != Transport::kTcp && proto != Transport::kUdt &&
-      proto != Transport::kLedbat) {
+  if (!find_stream_transport(proto)) {
     // A header carrying an out-of-range transport value (corrupted or
     // miscast) must still answer its notify — ids may never leak.
     ++stats_.unsupported_transport;
@@ -349,20 +379,10 @@ void NetworkComponent::open_session(Session& s) {
                                                config_.delta_keyframe_interval);
     }
   }
-  std::shared_ptr<transport::StreamConnection> conn;
-  if (s.transport == Transport::kTcp) {
-    conn = transport::TcpConnection::connect(host_, s.peer.host, s.peer.port,
-                                             config_.tcp);
-  } else if (s.transport == Transport::kLedbat) {
-    conn = transport::LedbatConnection::connect(
-        host_, s.peer.host,
-        static_cast<netsim::Port>(s.peer.port + kLedbatPortOffset),
-        config_.ledbat);
-  } else {
-    conn = transport::UdtConnection::connect(
-        host_, s.peer.host, static_cast<netsim::Port>(s.peer.port + kUdtPortOffset),
-        config_.udt);
-  }
+  const auto& entry = *find_stream_transport(s.transport);
+  auto conn = entry.connect(
+      host_, s.peer.host,
+      static_cast<netsim::Port>(s.peer.port + entry.port_offset), config_);
   s.conn = conn;
   const Address peer = s.peer;
   const Transport t = s.transport;

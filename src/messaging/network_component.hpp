@@ -18,7 +18,8 @@
 // UDP — exactly the semantics table of paper §III-B.
 //
 // Wire-level port convention: TCP listens on (tcp, port); plain UDP on
-// (udp, port); UDT on (udp, port + 1) so the two UDP consumers do not clash.
+// (udp, port); UDT on (udp, port + 1) and LEDBAT on (udp, port + 2) so the
+// UDP consumers do not clash. Every transport listens once started.
 #pragma once
 
 #include <deque>
@@ -41,17 +42,8 @@
 
 namespace kmsg::messaging {
 
-/// Offset added to the announced port for the UDT listener's UDP binding.
-inline constexpr netsim::Port kUdtPortOffset = 1;
-/// Offset for the LEDBAT listener's UDP binding.
-inline constexpr netsim::Port kLedbatPortOffset = 2;
-
 struct NetworkConfig {
   Address self;
-  bool listen_tcp = true;
-  bool listen_udp = true;
-  bool listen_udt = true;
-  bool listen_ledbat = true;
   transport::TcpConfig tcp;
   transport::UdtConfig udt;
   transport::UdpConfig udp;
@@ -386,9 +378,7 @@ class NetworkComponent final : public kompics::ComponentDefinition {
 
   kompics::PortInstance* net_port_ = nullptr;
 
-  std::unique_ptr<transport::TcpListener> tcp_listener_;
-  std::unique_ptr<transport::UdtListener> udt_listener_;
-  std::unique_ptr<transport::LedbatListener> ledbat_listener_;
+  std::vector<std::unique_ptr<transport::StreamListener>> listeners_;
   std::shared_ptr<transport::UdpEndpoint> udp_;
 
   std::map<std::pair<Address, Transport>, std::unique_ptr<Session>> sessions_;

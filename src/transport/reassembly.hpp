@@ -1,4 +1,4 @@
-// Receiver-side in-order reassembly, shared by the TCP and UDT engines.
+// Receiver-side in-order reassembly, used by every stream engine.
 //
 // Out-of-order byte segments are buffered (bounded by a configurable budget —
 // exceeding it drops the segment, which is exactly the receive-buffer overflow

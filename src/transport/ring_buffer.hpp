@@ -1,6 +1,6 @@
 // Fixed-capacity byte ring addressed by an absolute, monotonically growing
-// stream offset. This is the send-buffer representation shared by the TCP
-// and UDT engines: bytes are appended at the tail, read back at arbitrary
+// stream offset. This is the send-buffer representation of every stream
+// engine: bytes are appended at the tail, read back at arbitrary
 // offsets for (re)transmission, and released from the head as they are
 // acknowledged.
 #pragma once

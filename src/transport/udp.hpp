@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "netsim/network.hpp"
-#include "transport/connection.hpp"
 #include "wire/buffer.hpp"
 
 namespace kmsg::transport {

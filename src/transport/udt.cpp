@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "common/logging.hpp"
-
 namespace kmsg::transport {
 
 struct UdtHandshake : netsim::DatagramBody {
@@ -38,139 +36,79 @@ constexpr std::size_t kUdtHeaderBytes = 16;  // UDT header on top of IP/UDP
 constexpr std::uint64_t kProbeEvery = 16;    // packet-pair probing cadence
 constexpr std::size_t kMaxNakRanges = 16;
 constexpr double kRateDecreaseFactor = 1.125;  // UDT's 1/9 rate cut
+/// UDT's fixed rate-control period ("SYN interval").
+constexpr Duration kSynInterval = Duration::millis(10);
+constexpr double kInitialRateBytesPerSec = 2e6;
+/// If no feedback arrives for this long while data is outstanding, the
+/// sender assumes everything in flight was lost (EXP event).
+constexpr Duration kExpTimeout = Duration::millis(500);
 }  // namespace
 
+bool UdtConnection::is_open_request(const netsim::Datagram& dg) {
+  const auto* hs = dynamic_cast<const UdtHandshake*>(dg.body.get());
+  return hs && !hs->response;
+}
+
 UdtConnection::UdtConnection(netsim::Host& host, netsim::HostId peer,
-                             netsim::Port peer_port, UdtConfig config)
-    : host_(host),
-      peer_(peer),
-      peer_port_(peer_port),
+                             netsim::Port peer_port, bool passive,
+                             UdtConfig config)
+    : StreamEngine(host, peer, peer_port, passive,
+                   Wire{kProto, netsim::kIpUdpHeaderBytes + kUdtHeaderBytes,
+                        config.handshake_rto, config.handshake_rto,
+                        config.handshake_retries},
+                   config.send_buffer_bytes, config.recv_buffer_bytes),
       config_(config),
-      send_buf_(config.send_buffer_bytes),
-      reasm_(config.recv_buffer_bytes) {
-  inter_pkt_interval_s_ =
-      static_cast<double>(config_.mss) / config_.initial_rate_bytes_per_sec;
-  ss_window_ = 16 * config_.mss;
-}
+      inter_pkt_interval_s_(static_cast<double>(kStreamMss) /
+                            kInitialRateBytesPerSec),
+      ss_window_(16 * kStreamMss) {}
 
-UdtConnection::UdtConnection(Passive, netsim::Host& host, netsim::HostId peer,
-                             netsim::Port peer_port, UdtConfig config)
-    : UdtConnection(host, peer, peer_port, config) {
-  passive_ = true;
-}
+UdtConnection::~UdtConnection() { stop_timers(); }
 
-UdtConnection::~UdtConnection() {
+void UdtConnection::stop_timers() {
   pacer_event_.cancel();
   rate_event_.cancel();
   exp_event_.cancel();
   ack_event_.cancel();
-  hs_event_.cancel();
-  if (local_port_ != 0) host_.unbind(netsim::IpProto::kUdp, local_port_);
 }
 
-std::shared_ptr<UdtConnection> UdtConnection::connect(netsim::Host& host,
-                                                      netsim::HostId dst,
-                                                      netsim::Port dst_port,
-                                                      UdtConfig config) {
-  auto conn = std::shared_ptr<UdtConnection>(
-      new UdtConnection(host, dst, dst_port, config));
-  std::weak_ptr<UdtConnection> weak = conn;
-  conn->local_port_ = host.bind_ephemeral(
-      netsim::IpProto::kUdp, [weak](const netsim::Datagram& dg) {
-        if (auto c = weak.lock()) c->on_datagram(dg);
-      });
-  conn->start_handshake();
-  return conn;
-}
-
-void UdtConnection::emit(std::shared_ptr<const netsim::DatagramBody> body,
-                         std::size_t payload_bytes) {
-  netsim::Datagram dg;
-  dg.dst = peer_;
-  dg.src_port = local_port_;
-  dg.dst_port = peer_port_;
-  dg.proto = netsim::IpProto::kUdp;
-  dg.wire_bytes = payload_bytes + netsim::kIpUdpHeaderBytes + kUdtHeaderBytes;
-  dg.body = std::move(body);
-  host_.send(std::move(dg));
-}
-
-void UdtConnection::send_handshake(bool response) {
+void UdtConnection::send_handshake() {
   auto hs = std::make_shared<UdtHandshake>();
-  hs->response = response;
+  hs->response = passive();
   hs->avail = reasm_.available();
   emit(std::move(hs), 0);
 }
 
-void UdtConnection::start_handshake() {
-  send_handshake(false);
-  std::weak_ptr<UdtConnection> weak = weak_from_this();
-  hs_event_ = simulator().schedule_after(config_.handshake_rto, [weak] {
-    auto c = weak.lock();
-    if (!c || c->state_ != ConnState::kConnecting) return;
-    if (++c->hs_retries_ > c->config_.handshake_retries) {
-      c->abort();
-      return;
-    }
-    c->start_handshake();
-  });
+void UdtConnection::answer_open(const netsim::Datagram& request) {
+  const auto& hs = static_cast<const UdtHandshake&>(*request.body);
+  flow_window_bytes_ = std::max<std::uint64_t>(hs.avail, kStreamMss);
+  send_handshake();
+  enter_established();
 }
 
-void UdtConnection::enter_established() {
-  if (state_ != ConnState::kConnecting) return;
-  state_ = ConnState::kEstablished;
-  hs_event_.cancel();
+void UdtConnection::send_teardown() { emit(std::make_shared<UdtShutdown>(), 0); }
+
+void UdtConnection::on_established() {
   last_progress_ = simulator().now();
   recv_rate_mark_ = simulator().now();
-
   // Recurring SYN-interval jobs: sender rate control and receiver ACKs.
-  std::weak_ptr<UdtConnection> weak = weak_from_this();
-  rate_event_ = simulator().schedule_after(config_.syn_interval, [weak] {
-    if (auto c = weak.lock())
-      if (c->state_ != ConnState::kClosed) c->rate_control_tick_and_rearm();
-  });
-  ack_event_ = simulator().schedule_after(config_.syn_interval, [weak] {
-    if (auto c = weak.lock())
-      if (c->state_ != ConnState::kClosed) c->ack_timer_fire();
-  });
+  rate_event_ = after(kSynInterval, &UdtConnection::rate_control_tick_and_rearm);
+  ack_event_ = after(kSynInterval, &UdtConnection::ack_timer_fire);
   arm_exp_timer();
-
-  if (on_connected_) on_connected_();
-  schedule_pacer();
 }
-
-std::size_t UdtConnection::write(std::span<const std::uint8_t> data) {
-  if (state_ == ConnState::kClosed || state_ == ConnState::kClosing) return 0;
-  const std::size_t n = send_buf_.write(data);
-  stats_.bytes_written += n;
-  if (n < data.size()) want_writable_ = true;
-  if (state_ == ConnState::kEstablished) schedule_pacer();
-  return n;
-}
-
-std::size_t UdtConnection::writable_bytes() const {
-  if (state_ == ConnState::kClosed || state_ == ConnState::kClosing) return 0;
-  return send_buf_.free_space();
-}
-
-std::size_t UdtConnection::unacked_bytes() const { return send_buf_.size(); }
 
 void UdtConnection::schedule_pacer() {
   if (pacer_armed_) return;
-  if (state_ != ConnState::kEstablished && state_ != ConnState::kClosing) return;
+  if (state() != ConnState::kEstablished && state() != ConnState::kClosing) return;
   if (loss_list_.empty() && next_seq_ >= send_buf_.end()) return;
   pacer_armed_ = true;
   const TimePoint now = simulator().now();
   if (next_send_at_ < now) next_send_at_ = now;
-  std::weak_ptr<UdtConnection> weak = weak_from_this();
-  pacer_event_ = simulator().schedule_at(next_send_at_, [weak] {
-    if (auto c = weak.lock()) c->pacer_fire();
-  });
+  pacer_event_ = after(next_send_at_ - now, &UdtConnection::pacer_fire);
 }
 
 void UdtConnection::pacer_fire() {
   pacer_armed_ = false;
-  if (state_ != ConnState::kEstablished && state_ != ConnState::kClosing) return;
+  if (state() != ConnState::kEstablished && state() != ConnState::kClosing) return;
 
   ++pkts_since_probe_;
   const bool probe = (pkts_since_probe_ >= kProbeEvery);
@@ -199,7 +137,7 @@ std::size_t UdtConnection::send_one(bool probe_head, bool probe_tail) {
       loss_list_.erase(it);
       continue;
     }
-    const auto len = std::min<std::size_t>(config_.mss,
+    const auto len = std::min<std::size_t>(kStreamMss,
                                            static_cast<std::size_t>(e - s));
     loss_list_.erase(it);
     if (s + len < e) loss_list_.emplace(s + len, e);
@@ -215,7 +153,7 @@ std::size_t UdtConnection::send_one(bool probe_head, bool probe_tail) {
     return 0;
   }
   const auto len = std::min<std::size_t>(
-      {config_.mss, static_cast<std::size_t>(send_buf_.end() - next_seq_),
+      {kStreamMss, static_cast<std::size_t>(send_buf_.end() - next_seq_),
        static_cast<std::size_t>(window - inflight)});
   if (len == 0) return 0;
   send_data_packet(next_seq_, len, false, probe_head, probe_tail);
@@ -238,9 +176,9 @@ void UdtConnection::send_data_packet(std::uint64_t seq, std::size_t len,
 }
 
 void UdtConnection::rate_control_tick() {
-  if (state_ != ConnState::kEstablished && state_ != ConnState::kClosing) return;
-  const double ps = static_cast<double>(config_.mss);
-  const double syn_s = config_.syn_interval.as_seconds();
+  if (state() != ConnState::kEstablished && state() != ConnState::kClosing) return;
+  const double ps = static_cast<double>(kStreamMss);
+  const double syn_s = kSynInterval.as_seconds();
   double rate = ps / inter_pkt_interval_s_;  // bytes/s
 
   if (!slow_start_done_) {
@@ -279,27 +217,20 @@ void UdtConnection::rate_control_tick() {
 }
 
 void UdtConnection::rate_control_tick_and_rearm() {
+  if (state() == ConnState::kClosed) return;
   rate_control_tick();
-  std::weak_ptr<UdtConnection> weak = weak_from_this();
-  rate_event_ = simulator().schedule_after(config_.syn_interval, [weak] {
-    if (auto c = weak.lock())
-      if (c->state_ != ConnState::kClosed) c->rate_control_tick_and_rearm();
-  });
+  rate_event_ = after(kSynInterval, &UdtConnection::rate_control_tick_and_rearm);
 }
 
 void UdtConnection::arm_exp_timer() {
   exp_event_.cancel();
-  if (state_ == ConnState::kClosed) return;
-  std::weak_ptr<UdtConnection> weak = weak_from_this();
-  exp_event_ = simulator().schedule_after(config_.exp_timeout, [weak] {
-    if (auto c = weak.lock()) c->on_exp_timeout();
-  });
+  if (state() == ConnState::kClosed) return;
+  exp_event_ = after(kExpTimeout, &UdtConnection::on_exp_timeout);
 }
 
 void UdtConnection::on_exp_timeout() {
-  if (state_ == ConnState::kClosed) return;
-  const bool stalled =
-      simulator().now() - last_progress_ >= config_.exp_timeout;
+  if (state() == ConnState::kClosed) return;
+  const bool stalled = simulator().now() - last_progress_ >= kExpTimeout;
   if (stalled && next_seq_ > snd_una_) {
     // Feedback starved with data in flight: declare everything lost.
     ++cc_.exp_events;
@@ -316,29 +247,25 @@ void UdtConnection::on_exp_timeout() {
 }
 
 void UdtConnection::handle_ack(const UdtAck& pkt) {
-  flow_window_bytes_ = std::max<std::uint64_t>(pkt.avail, config_.mss);
+  flow_window_bytes_ = std::max<std::uint64_t>(pkt.avail, kStreamMss);
   if (pkt.est_bandwidth > 0.0) cc_.est_link_bandwidth = pkt.est_bandwidth;
   if (pkt.recv_rate > 0.0) peer_recv_rate_ = pkt.recv_rate;
   if (pkt.ack_to > snd_una_) {
     last_progress_ = simulator().now();
     consecutive_exp_ = 0;
+    const std::uint64_t acked = release_acked(pkt.ack_to);
     if (!slow_start_done_) {
-      ss_window_ += pkt.ack_to - snd_una_;
+      ss_window_ += acked;
       if (ss_window_ >= flow_window_bytes_) {
         // Window saturated without loss: leave slow start at the receiver's
         // measured delivery rate (or keep the ceiling if none reported yet).
         slow_start_done_ = true;
         if (peer_recv_rate_ > 0.0) {
           inter_pkt_interval_s_ =
-              static_cast<double>(config_.mss) / std::max(peer_recv_rate_, 1e4);
+              static_cast<double>(kStreamMss) / std::max(peer_recv_rate_, 1e4);
         }
       }
     }
-    const std::uint64_t de = std::min<std::uint64_t>(pkt.ack_to, send_buf_.end());
-    const std::uint64_t ds = std::min<std::uint64_t>(snd_una_, send_buf_.end());
-    stats_.bytes_acked += de - ds;
-    snd_una_ = pkt.ack_to;
-    send_buf_.release_until(de);
     // Loss ranges below the cumulative ack are obsolete.
     while (!loss_list_.empty() && loss_list_.begin()->second <= snd_una_) {
       loss_list_.erase(loss_list_.begin());
@@ -348,10 +275,7 @@ void UdtConnection::handle_ack(const UdtAck& pkt) {
       node.key() = snd_una_;
       loss_list_.insert(std::move(node));
     }
-    if (want_writable_ && send_buf_.free_space() > 0) {
-      want_writable_ = false;
-      if (on_writable_) on_writable_();
-    }
+    notify_writable();
     maybe_finish_close();
   }
   schedule_pacer();
@@ -380,14 +304,14 @@ void UdtConnection::handle_nak(const UdtNak& pkt) {
       // bootstrap overshoot in one step instead of many 1/1.125 cuts.
       slow_start_done_ = true;
       inter_pkt_interval_s_ =
-          static_cast<double>(config_.mss) / std::max(peer_recv_rate_, 1e4);
+          static_cast<double>(kStreamMss) / std::max(peer_recv_rate_, 1e4);
     }
     inter_pkt_interval_s_ *= kRateDecreaseFactor;
     const double min_interval =
-        static_cast<double>(config_.mss) / config_.max_rate_bytes_per_sec;
+        static_cast<double>(kStreamMss) / config_.max_rate_bytes_per_sec;
     inter_pkt_interval_s_ = std::max(inter_pkt_interval_s_, min_interval);
     cc_.rate_bytes_per_sec =
-        static_cast<double>(config_.mss) / inter_pkt_interval_s_;
+        static_cast<double>(kStreamMss) / inter_pkt_interval_s_;
     ++cc_.rate_decreases;
     last_dec_seq_ = next_seq_;
   }
@@ -415,12 +339,8 @@ void UdtConnection::estimate_bandwidth(const UdtData& pkt) {
 void UdtConnection::handle_data(const UdtData& pkt) {
   estimate_bandwidth(pkt);
   const std::uint64_t prev_highest = reasm_.highest_seen();
-  reasm_.offer_span(pkt.seq, {pkt.payload.data(), pkt.payload.size()},
-                    [this](std::span<const std::uint8_t> run) {
-                      stats_.bytes_delivered += run.size();
-                      recv_bytes_interval_ += run.size();
-                      if (on_data_) on_data_(run);
-                    });
+  recv_bytes_interval_ +=
+      deliver(pkt.seq, {pkt.payload.data(), pkt.payload.size()});
   // Immediate NAK on first gap detection (UDT sends NAK as soon as a
   // sequence discontinuity is observed). Register the hole for paced
   // re-NAKs.
@@ -428,14 +348,14 @@ void UdtConnection::handle_data(const UdtData& pkt) {
     auto nak = std::make_shared<UdtNak>();
     nak->ranges.emplace_back(prev_highest, pkt.seq);
     emit(std::move(nak), 8);
-    const Duration base = config_.syn_interval * 4;
+    const Duration base = kSynInterval * 4;
     nak_backoff_[prev_highest] =
         NakBackoff{simulator().now() + base, base};
   }
 }
 
 void UdtConnection::ack_timer_fire() {
-  if (state_ == ConnState::kClosed) return;
+  if (state() == ConnState::kClosed) return;
   const TimePoint now = simulator().now();
   const double dt = (now - recv_rate_mark_).as_seconds();
   if (dt > 0.0) {
@@ -455,11 +375,7 @@ void UdtConnection::ack_timer_fire() {
   // Periodic re-NAK of persistent holes.
   if (++nak_tick_ % 4 == 0) send_nak_now();
 
-  std::weak_ptr<UdtConnection> weak = weak_from_this();
-  ack_event_ = simulator().schedule_after(config_.syn_interval, [weak] {
-    if (auto c = weak.lock())
-      if (c->state_ != ConnState::kClosed) c->ack_timer_fire();
-  });
+  ack_event_ = after(kSynInterval, &UdtConnection::ack_timer_fire);
 }
 
 void UdtConnection::send_nak_now() {
@@ -475,7 +391,7 @@ void UdtConnection::send_nak_now() {
   // before its retransmission can possibly have arrived just multiplies
   // duplicate retransmissions (ruinous on high-RTT paths).
   const TimePoint now = simulator().now();
-  const Duration base = config_.syn_interval * 4;
+  const Duration base = kSynInterval * 4;
   auto nak = std::make_shared<UdtNak>();
   for (const auto& range : ranges) {
     auto [it, inserted] =
@@ -493,35 +409,29 @@ void UdtConnection::send_nak_now() {
 }
 
 void UdtConnection::on_datagram(const netsim::Datagram& dg) {
-  if (dg.src != peer_) return;
-
   if (dg.corrupted) {
     // Same model as TCP: corrupted control packets are caught by the UDP
     // checksum and dropped; corrupted data packets model checksum-escaping
-    // bit errors — flip one payload bit and let the framing CRC catch it.
+    // bit errors.
     auto data = std::dynamic_pointer_cast<const UdtData>(dg.body);
-    if (!data || data->payload.empty() || state_ == ConnState::kConnecting) {
+    if (!data || data->payload.empty() || state() == ConnState::kConnecting) {
       return;
     }
     auto mutated = std::make_shared<UdtData>(*data);
-    auto& p = mutated->payload;
-    const std::size_t at = static_cast<std::size_t>(data->seq) % p.size();
-    p[at] ^= static_cast<std::uint8_t>(1u << (data->seq % 8));
+    flip_payload_bit(mutated->payload, data->seq);
     handle_data(*mutated);
     return;
   }
 
   if (auto hs = std::dynamic_pointer_cast<const UdtHandshake>(dg.body)) {
-    if (!passive_ && hs->response && state_ == ConnState::kConnecting) {
+    if (!passive() && hs->response && state() == ConnState::kConnecting) {
       peer_port_ = dg.src_port;
-      flow_window_bytes_ = std::max<std::uint64_t>(hs->avail, config_.mss);
+      flow_window_bytes_ = std::max<std::uint64_t>(hs->avail, kStreamMss);
       enter_established();
-    } else if (passive_ && !hs->response) {
-      send_handshake(true);  // our response was lost; re-announce
     }
     return;
   }
-  if (state_ == ConnState::kConnecting) return;
+  if (state() == ConnState::kConnecting) return;
 
   if (auto data = std::dynamic_pointer_cast<const UdtData>(dg.body)) {
     handle_data(*data);
@@ -534,76 +444,9 @@ void UdtConnection::on_datagram(const netsim::Datagram& dg) {
   }
 }
 
-void UdtConnection::close() {
-  if (state_ == ConnState::kClosed || state_ == ConnState::kClosing) return;
-  if (state_ == ConnState::kConnecting) {
-    abort();
-    return;
-  }
-  state_ = ConnState::kClosing;
-  close_requested_ = true;
-  maybe_finish_close();
-}
-
 void UdtConnection::maybe_finish_close() {
-  if (!close_requested_ || state_ == ConnState::kClosed) return;
   if (snd_una_ < send_buf_.end() || !loss_list_.empty()) return;
-  emit(std::make_shared<UdtShutdown>(), 0);
-  finish_close();
-}
-
-void UdtConnection::abort() {
-  if (state_ == ConnState::kClosed) return;
-  emit(std::make_shared<UdtShutdown>(), 0);
-  finish_close();
-}
-
-void UdtConnection::finish_close() {
-  if (state_ == ConnState::kClosed) return;
-  state_ = ConnState::kClosed;
-  pacer_event_.cancel();
-  rate_event_.cancel();
-  exp_event_.cancel();
-  ack_event_.cancel();
-  hs_event_.cancel();
-  auto cb = on_closed_;
-  if (cb) cb();
-}
-
-UdtListener::UdtListener(netsim::Host& host, netsim::Port port, UdtConfig config,
-                         AcceptFn on_accept)
-    : host_(host), port_(port), config_(config), on_accept_(std::move(on_accept)) {
-  host_.bind(netsim::IpProto::kUdp, port_,
-             [this](const netsim::Datagram& dg) { on_datagram(dg); });
-}
-
-UdtListener::~UdtListener() { host_.unbind(netsim::IpProto::kUdp, port_); }
-
-void UdtListener::on_datagram(const netsim::Datagram& dg) {
-  auto hs = std::dynamic_pointer_cast<const UdtHandshake>(dg.body);
-  if (!hs || hs->response) return;
-
-  const auto key = std::make_pair(dg.src, dg.src_port);
-  if (auto it = pending_.find(key); it != pending_.end()) {
-    if (auto existing = it->second.lock()) {
-      existing->send_handshake(true);
-      return;
-    }
-    pending_.erase(it);
-  }
-
-  auto conn = std::shared_ptr<UdtConnection>(new UdtConnection(
-      UdtConnection::Passive{}, host_, dg.src, dg.src_port, config_));
-  std::weak_ptr<UdtConnection> weak = conn;
-  conn->local_port_ = host_.bind_ephemeral(
-      netsim::IpProto::kUdp, [weak](const netsim::Datagram& d) {
-        if (auto c = weak.lock()) c->on_datagram(d);
-      });
-  conn->flow_window_bytes_ = std::max<std::uint64_t>(hs->avail, config_.mss);
-  conn->send_handshake(true);
-  conn->enter_established();
-  pending_[key] = conn;
-  if (on_accept_) on_accept_(std::move(conn));
+  close_drained();
 }
 
 }  // namespace kmsg::transport
