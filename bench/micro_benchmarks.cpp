@@ -156,6 +156,18 @@ void BM_FrameDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameDecode);
 
+// CRC-32 of one 65 kB chunk (the frame check of a bulk DATA/UDT message)
+// through the runtime-dispatched kernel.
+void BM_Crc32(benchmark::State& state) {
+  AllocScope allocs(state);
+  const auto data = random_bytes(65000, 9);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wire::crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 65000);
+}
+BENCHMARK(BM_Crc32);
+
 void BM_MessageSerializeRoundTrip(benchmark::State& state) {
   AllocScope allocs(state);
   messaging::SerializerRegistry reg;

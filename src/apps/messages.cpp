@@ -1,5 +1,8 @@
 #include "apps/messages.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 namespace kmsg::apps {
 
 namespace {
@@ -13,26 +16,72 @@ std::uint8_t payload_byte(std::uint64_t pos) {
   return static_cast<std::uint8_t>(z >> 56);
 }
 
+/// The pattern slab: one period of payload bytes followed by the first
+/// kPayloadSliceMax bytes again, so any slice of up to kPayloadSliceMax bytes
+/// starting inside the period is contiguous. Built once per process on first
+/// use (thread-safe static init); the static reference pins the slab for the
+/// life of the process, so slices of it are never unique.
+const wire::BufSlice& pattern() {
+  static const wire::BufSlice slab = [] {
+    constexpr std::size_t kBytes = kPayloadPeriod + kPayloadSliceMax;
+    wire::ByteBuf buf{kBytes};
+    auto span = buf.write_span(kBytes);
+    for (std::size_t i = 0; i < kBytes; ++i) {
+      span[i] = payload_byte(i % kPayloadPeriod);
+    }
+    return std::move(buf).take_slice();
+  }();
+  return slab;
+}
+
+/// Calls fn(pattern_bytes, n) for each run of pattern bytes that makes up
+/// payload positions [offset, offset + len), wrapping at the period.
+template <typename Fn>
+void for_each_run(std::uint64_t offset, std::size_t len, Fn&& fn) {
+  const std::uint8_t* base = pattern().data();
+  std::size_t at = static_cast<std::size_t>(offset % kPayloadPeriod);
+  while (len != 0) {
+    const std::size_t n = std::min(len, kPayloadPeriod - at);
+    fn(base + at, n);
+    len -= n;
+    at = 0;
+  }
+}
+
+void copy_payload(std::uint64_t offset, std::uint8_t* dst, std::size_t len) {
+  for_each_run(offset, len, [&dst](const std::uint8_t* src, std::size_t n) {
+    std::memcpy(dst, src, n);
+    dst += n;
+  });
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> make_payload(std::uint64_t offset, std::size_t len) {
   std::vector<std::uint8_t> out(len);
-  for (std::size_t i = 0; i < len; ++i) out[i] = payload_byte(offset + i);
+  copy_payload(offset, out.data(), len);
   return out;
 }
 
 wire::BufSlice make_payload_slice(std::uint64_t offset, std::size_t len) {
+  if (len <= kPayloadSliceMax) {
+    return pattern().slice(static_cast<std::size_t>(offset % kPayloadPeriod),
+                           len);
+  }
   wire::ByteBuf buf{len};
-  auto span = buf.write_span(len);
-  for (std::size_t i = 0; i < len; ++i) span[i] = payload_byte(offset + i);
+  copy_payload(offset, buf.write_span(len).data(), len);
   return std::move(buf).take_slice();
 }
 
 bool verify_payload(std::uint64_t offset, std::span<const std::uint8_t> data) {
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (data[i] != payload_byte(offset + i)) return false;
-  }
-  return true;
+  const std::uint8_t* got = data.data();
+  bool ok = true;
+  for_each_run(offset, data.size(),
+               [&got, &ok](const std::uint8_t* want, std::size_t n) {
+                 ok = ok && std::memcmp(got, want, n) == 0;
+                 got += n;
+               });
+  return ok;
 }
 
 void register_app_serializers(messaging::SerializerRegistry& registry) {

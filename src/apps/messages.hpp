@@ -175,10 +175,16 @@ void register_app_delta_schemas(messaging::SerializerRegistry& registry);
 
 /// Deterministic, effectively incompressible payload: byte i of a chunk at
 /// absolute `offset` depends only on the global position, so any receiver
-/// can verify content without sharing state with the sender.
+/// can verify content without sharing state with the sender. The content
+/// repeats with period kPayloadPeriod; all three functions read one shared,
+/// immutable pattern slab built on first use.
+inline constexpr std::size_t kPayloadPeriod = std::size_t{1} << 20;
+/// Longest payload make_payload_slice serves as a view of the pattern slab.
+inline constexpr std::size_t kPayloadSliceMax = std::size_t{64} << 10;
+
 std::vector<std::uint8_t> make_payload(std::uint64_t offset, std::size_t len);
-/// Generates the payload directly into a pooled slab — the "initial write"
-/// of the zero-copy pipeline (no intermediate vector).
+/// Up to kPayloadSliceMax bytes come back as a shared view of the pattern
+/// slab (no byte copied); longer payloads are copied once into a fresh slab.
 wire::BufSlice make_payload_slice(std::uint64_t offset, std::size_t len);
 bool verify_payload(std::uint64_t offset, std::span<const std::uint8_t> data);
 

@@ -1,26 +1,51 @@
 #include "transport/ring_buffer.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace kmsg::transport {
 
-RingBuffer::RingBuffer(std::size_t capacity) : buf_(capacity) {
+RingBuffer::RingBuffer(std::size_t capacity) : capacity_(capacity) {
   if (capacity == 0) throw std::invalid_argument("RingBuffer capacity must be > 0");
+}
+
+void RingBuffer::store(std::uint64_t at, const std::uint8_t* src,
+                       std::size_t len) {
+  while (len != 0) {
+    const std::size_t pos = static_cast<std::size_t>(at % storage_size_);
+    const std::size_t chunk = std::min(len, storage_size_ - pos);
+    std::memcpy(storage_.get() + pos, src, chunk);
+    src += chunk;
+    at += chunk;
+    len -= chunk;
+  }
+}
+
+void RingBuffer::grow(std::size_t need) {
+  std::size_t size = std::max(storage_size_, kInitialStorage);
+  while (size < need && size < capacity_) size *= 2;
+  size = std::min(size, capacity_);
+  // Uninitialised: pages are touched only as bytes are written into them.
+  auto old = std::exchange(storage_,
+                           std::make_unique_for_overwrite<std::uint8_t[]>(size));
+  const std::size_t old_size = std::exchange(storage_size_, size);
+  for (std::uint64_t at = base_; at < end_;) {
+    const std::size_t pos = static_cast<std::size_t>(at % old_size);
+    const std::size_t chunk =
+        std::min(static_cast<std::size_t>(end_ - at), old_size - pos);
+    store(at, old.get() + pos, chunk);
+    at += chunk;
+  }
 }
 
 std::size_t RingBuffer::write(std::span<const std::uint8_t> data) {
   const std::size_t n = std::min(data.size(), free_space());
-  std::size_t written = 0;
-  while (written < n) {
-    const std::size_t pos = static_cast<std::size_t>(end_ % capacity());
-    const std::size_t chunk = std::min(n - written, capacity() - pos);
-    std::memcpy(buf_.data() + pos, data.data() + written, chunk);
-    written += chunk;
-    end_ += chunk;
-  }
+  if (n == 0) return 0;
+  if (size() + n > storage_size_) grow(size() + n);
+  store(end_, data.data(), n);
+  end_ += n;
   return n;
 }
 
@@ -31,9 +56,9 @@ std::vector<std::uint8_t> RingBuffer::read_at(std::uint64_t at, std::size_t len)
   std::vector<std::uint8_t> out(len);
   std::size_t read = 0;
   while (read < len) {
-    const std::size_t pos = static_cast<std::size_t>((at + read) % capacity());
-    const std::size_t chunk = std::min(len - read, capacity() - pos);
-    std::memcpy(out.data() + read, buf_.data() + pos, chunk);
+    const std::size_t pos = static_cast<std::size_t>((at + read) % storage_size_);
+    const std::size_t chunk = std::min(len - read, storage_size_ - pos);
+    std::memcpy(out.data() + read, storage_.get() + pos, chunk);
     read += chunk;
   }
   return out;

@@ -16,9 +16,12 @@
 // serialiser reserves that headroom), so encoding a frame moves no payload
 // bytes. The decoder accumulates stream chunks in a pooled slab and emits
 // each frame as a BufSlice *view* into that slab; emitted frames pin the
-// slab via refcount, and growing the accumulation buffer copies only the
-// not-yet-parsed tail. feed(BufSlice) additionally parses frames directly
-// out of the caller's slab when the decoder has no buffered partial frame.
+// slab via refcount. While the decoder is the slab's sole owner it slides the
+// not-yet-parsed tail back to the front instead of growing; it doubles the
+// slab only when that tail plus the new chunk do not fit, and growing or
+// leaving a pinned slab copies only the tail. feed(BufSlice) additionally
+// parses frames directly out of the caller's slab when the decoder has no
+// buffered partial frame.
 #pragma once
 
 #include <cstdint>
@@ -63,8 +66,21 @@ BufSlice encode_wire_single(BufSlice encoded);
 BufSlice encode_wire_coalesced(std::span<const BufSlice> subs,
                                std::size_t headroom = kFrameHeaderBytes);
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte span.
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte span. Uses
+/// detail::crc32_clmul when the CPU has PCLMULQDQ and SSE4.1 (checked once
+/// at run time), else detail::crc32_portable. Both give the same value.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
+
+namespace detail {
+/// Slicing-by-8 table kernel; runs anywhere.
+std::uint32_t crc32_portable(std::span<const std::uint8_t> data);
+/// Whether this CPU can run crc32_clmul's folding path.
+bool crc32_clmul_supported();
+/// PCLMULQDQ 4x128-bit folding with Barrett reduction over the largest
+/// 16-byte multiple of inputs of 64 bytes or more; slicing-by-8 for the
+/// tail and for shorter inputs. Requires crc32_clmul_supported().
+std::uint32_t crc32_clmul(std::span<const std::uint8_t> data);
+}  // namespace detail
 
 /// Prepends the length + CRC header to a payload (returns a new vector).
 std::vector<std::uint8_t> encode_frame(std::span<const std::uint8_t> payload);
@@ -119,6 +135,8 @@ class FrameDecoder {
 
   bool poisoned() const { return poisoned_; }
   std::size_t buffered_bytes() const { return end_ - start_; }
+  /// Capacity of the accumulation slab (0 before the first buffered byte).
+  std::size_t buffer_capacity() const { return slab_ ? slab_->capacity : 0; }
   std::uint64_t frames_decoded() const { return frames_; }
   /// Frames rejected because their payload failed the CRC check.
   std::uint64_t frames_corrupt() const { return corrupt_; }

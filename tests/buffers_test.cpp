@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "transport/reassembly.hpp"
 #include "transport/ring_buffer.hpp"
@@ -86,6 +88,77 @@ TEST(RingBufferTest, ReleaseClamped) {
 
 TEST(RingBufferTest, ZeroCapacityRejected) {
   EXPECT_THROW(RingBuffer(0), std::invalid_argument);
+}
+
+// Storage grows with the bytes held, not with the configured capacity.
+
+TEST(RingBufferGrowthTest, FreshRingHoldsNoStorage) {
+  RingBuffer rb(std::size_t{100} << 20);
+  EXPECT_EQ(rb.capacity(), std::size_t{100} << 20);
+  EXPECT_EQ(rb.free_space(), rb.capacity());
+  EXPECT_EQ(rb.storage_bytes(), 0u);
+  rb.write(bytes({1}));
+  EXPECT_EQ(rb.storage_bytes(), RingBuffer::kInitialStorage);
+}
+
+TEST(RingBufferGrowthTest, GrowingWhileWrappedKeepsContent) {
+  // The retained bytes straddle the end of the 64 KiB storage (base > 0)
+  // when a write forces the first doubling; they must be re-laid out modulo
+  // the new size and read back byte-exact.
+  constexpr std::size_t kInit = RingBuffer::kInitialStorage;
+  RingBuffer rb(std::size_t{1} << 20);
+  Rng rng(7);
+  std::vector<std::uint8_t> history;
+  const auto put = [&](std::size_t n) {
+    std::vector<std::uint8_t> chunk(n);
+    for (auto& b : chunk) b = static_cast<std::uint8_t>(rng.next());
+    ASSERT_EQ(rb.write(chunk), n);
+    history.insert(history.end(), chunk.begin(), chunk.end());
+  };
+  put(kInit - 1000);
+  rb.release_until(kInit / 2);
+  put(kInit / 4);  // wraps: end is past the storage size, base is not
+  ASSERT_EQ(rb.storage_bytes(), kInit);
+  ASSERT_GT(rb.base(), 0u);
+  ASSERT_GT(rb.base() % kInit, rb.end() % kInit);  // the bytes wrap
+  put(kInit);  // 3/4 of the initial size retained + kInit: must double
+  EXPECT_EQ(rb.storage_bytes(), 2 * kInit);
+  const auto window = rb.read_at(rb.base(), rb.size());
+  ASSERT_EQ(window.size(), rb.size());
+  EXPECT_TRUE(std::equal(window.begin(), window.end(),
+                         history.begin() + static_cast<std::ptrdiff_t>(rb.base())));
+}
+
+TEST(RingBufferGrowthTest, StorageNeverExceedsCapacity) {
+  // A capacity that is not a power-of-two multiple of the initial storage:
+  // the last doubling is capped, and wrap-around still preserves content.
+  const std::size_t cap = 3 * RingBuffer::kInitialStorage + 123;
+  RingBuffer rb(cap);
+  Rng rng(3);
+  std::vector<std::uint8_t> history;
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::uint8_t> chunk(1 + rng.next_below(40000));
+    for (auto& b : chunk) b = static_cast<std::uint8_t>(rng.next());
+    const std::size_t written = rb.write(chunk);
+    history.insert(history.end(), chunk.begin(),
+                   chunk.begin() + static_cast<std::ptrdiff_t>(written));
+    ASSERT_LE(rb.storage_bytes(), rb.capacity());
+    ASSERT_GE(rb.storage_bytes(), rb.size());
+    if (rb.size() > 0) {
+      const auto window = rb.read_at(rb.base(), rb.size());
+      ASSERT_TRUE(std::equal(
+          window.begin(), window.end(),
+          history.begin() + static_cast<std::ptrdiff_t>(rb.base())))
+          << "round " << round;
+    }
+    rb.release_until(rb.base() + rng.next_below(rb.size() + 1));
+  }
+  // Filling to the limit grows storage to exactly the capacity.
+  rb.release_until(rb.end());
+  const std::vector<std::uint8_t> full(cap, 0x5A);
+  EXPECT_EQ(rb.write(full), cap);
+  EXPECT_EQ(rb.storage_bytes(), cap);
+  EXPECT_EQ(rb.read_at(rb.base(), cap), full);
 }
 
 // --- ReassemblyBuffer ---

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+
+#include "apps/messages.hpp"
 #include "common/rng.hpp"
 #include "wire/bytebuf.hpp"
 #include "wire/framing.hpp"
@@ -385,6 +390,141 @@ TEST(FramingTest, CorruptHeaderDetected) {
   FrameDecoder dec;
   EXPECT_FALSE(dec.feed(framed));
   EXPECT_EQ(dec.frames_corrupt(), 1u);
+}
+
+TEST(FramingTest, DecoderSlabStaysBoundedWithAPartialFramePending) {
+  // 16 MiB of 65 kB frames fed in 1,400-byte pieces: a partial frame is
+  // pending after almost every piece, and each emitted frame is dropped at
+  // once, so the decoder is its slab's sole owner whenever it runs out of
+  // room. It must slide the unparsed tail to the front rather than double
+  // its slab for the length of the stream.
+  constexpr std::size_t kPayload = 65000;
+  constexpr std::size_t kStreamBytes = std::size_t{16} << 20;
+  const std::vector<std::uint8_t> payload(kPayload, 0x3C);
+  const auto frame = encode_frame(payload);
+  std::vector<std::uint8_t> stream;
+  while (stream.size() < kStreamBytes) {
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  FrameDecoder dec;
+  std::size_t frames = 0;
+  std::size_t max_capacity = 0;
+  dec.set_on_frame([&](BufSlice f) {
+    ASSERT_EQ(f.size(), kPayload);
+    ++frames;
+  });
+  for (std::size_t at = 0; at < stream.size(); at += 1400) {
+    const std::size_t n = std::min<std::size_t>(1400, stream.size() - at);
+    ASSERT_TRUE(dec.feed(std::span<const std::uint8_t>{stream.data() + at, n}));
+    max_capacity = std::max(max_capacity, dec.buffer_capacity());
+  }
+  EXPECT_EQ(frames, stream.size() / frame.size());
+  EXPECT_EQ(dec.buffered_bytes(), 0u);
+  EXPECT_LE(max_capacity, std::size_t{256} << 10);
+}
+
+// --- CRC-32 kernels ---
+
+/// Bit-at-a-time CRC-32 register update (IEEE polynomial, reflected): the
+/// definition both table and carry-less kernels must reproduce.
+std::uint32_t crc32_bitwise_update(std::uint32_t c, std::uint8_t byte) {
+  c ^= byte;
+  for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  return c;
+}
+
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t b : data) c = crc32_bitwise_update(c, b);
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> crc_input(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+using CrcKernel = std::uint32_t (*)(std::span<const std::uint8_t>);
+
+void check_kernel_against_bitwise(CrcKernel kernel) {
+  constexpr std::size_t kMaxLen = 2048;
+  constexpr std::size_t kAlignments = 16;
+  const auto input = crc_input(kMaxLen, 11);
+  // reference[n] = CRC of the first n input bytes.
+  std::vector<std::uint32_t> reference(kMaxLen + 1);
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t n = 0; n <= kMaxLen; ++n) {
+    reference[n] = c ^ 0xFFFFFFFFu;
+    if (n < kMaxLen) c = crc32_bitwise_update(c, input[n]);
+  }
+  // The same bytes placed at each offset from a 64-byte boundary.
+  alignas(64) static std::uint8_t storage[kMaxLen + kAlignments + 64];
+  for (std::size_t align = 0; align < kAlignments; ++align) {
+    std::copy(input.begin(), input.end(), storage + align);
+    for (std::size_t n = 0; n <= kMaxLen; ++n) {
+      ASSERT_EQ(kernel({storage + align, n}), reference[n])
+          << "length " << n << " alignment " << align;
+    }
+  }
+  for (const std::size_t n : {std::size_t{65000}, std::size_t{65536},
+                              (std::size_t{1} << 20) + 13}) {
+    const auto big = crc_input(n, n);
+    EXPECT_EQ(kernel(big), crc32_bitwise(big)) << "length " << n;
+  }
+  const std::string check = "123456789";
+  EXPECT_EQ(kernel({reinterpret_cast<const std::uint8_t*>(check.data()),
+                    check.size()}),
+            0xCBF43926u);
+}
+
+TEST(Crc32KernelTest, PortableMatchesBitwiseReference) {
+  check_kernel_against_bitwise(&detail::crc32_portable);
+}
+
+TEST(Crc32KernelTest, ClmulMatchesBitwiseReference) {
+  if (!detail::crc32_clmul_supported()) {
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1";
+  }
+  check_kernel_against_bitwise(&detail::crc32_clmul);
+}
+
+TEST(Crc32KernelTest, DispatcherAgreesOnFrameSizes) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{63}, std::size_t{64},
+                              std::size_t{1400}, std::size_t{65000}}) {
+    const auto data = crc_input(n, 5);
+    EXPECT_EQ(crc32(data), crc32_bitwise(data)) << "length " << n;
+  }
+}
+
+// --- Shared payload pattern ---
+
+TEST(PayloadPatternTest, ConcurrentSlicesFromColdStart) {
+  // Four threads race to take the first pattern slices of the process (this
+  // test must stay the only payload user in this binary), so the one-time
+  // slab build and the shared refcount run concurrently: TSan checks both.
+  constexpr int kThreads = 4;
+  constexpr std::size_t kChunk = 65000;
+  std::atomic<int> ready{0};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &ready, &bad] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (std::uint64_t i = 0; i < 64; ++i) {
+        const std::uint64_t offset = (i * kThreads + t) * kChunk;
+        BufSlice s = apps::make_payload_slice(offset, kChunk);
+        BufSlice copy = s;  // shared refcount traffic
+        if (copy.size() != kChunk || !apps::verify_payload(offset, copy.span())) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(bad.load(), 0);
 }
 
 // --- Pipeline ---

@@ -8,6 +8,7 @@
 //    its containers are warm (counting global operator new).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -192,8 +193,8 @@ TEST(ZeroCopyPathTest, EndToEndMovesNoPayloadBytes) {
   wire::Pipeline pipeline;
   pipeline.add_last(std::make_unique<wire::CompressionHandler>());
 
-  // Incompressible payload, generated straight into a pooled slab — the
-  // "initial write" of the payload's life.
+  // Incompressible payload: a view of the shared pattern slab, so making it
+  // writes nothing; serialisation is the payload's first write.
   const std::size_t kPayload = 4096;
   apps::DataChunkMsg chunk{
       DataHeader{Address{1, 100}, Address{2, 200}, Transport::kTcp}, 7, 0,
@@ -232,6 +233,61 @@ TEST(ZeroCopyPathTest, EndToEndMovesNoPayloadBytes) {
       << "payload was copied after the initial serialisation write";
   EXPECT_EQ(stats.grow_bytes_copied, 0u)
       << "serialisation buffer was sized wrong and had to grow";
+}
+
+// --- Payload pattern: zero-copy generation, position-exact verification ---
+
+TEST(PayloadPatternTest, FirstBytesMatchThePositionHash) {
+  // Pinned from the per-byte position hash the pattern is built from.
+  const auto head = apps::make_payload(0, 32);
+  EXPECT_EQ(to_hex({head.data(), head.size()}),
+            "e291971d6e63bd639eae085094c46a875d8011bc3606c8e8aaa2c39790bba8d7");
+}
+
+TEST(PayloadPatternTest, VerifyRejectsOneFlippedByte) {
+  const std::uint64_t offset = 3 * 65000;
+  const auto chunk = apps::make_payload(offset, 65000);
+  ASSERT_TRUE(apps::verify_payload(offset, chunk));
+  for (const std::size_t at : {std::size_t{0}, chunk.size() / 2,
+                               chunk.size() - 1}) {
+    auto bad = chunk;
+    bad[at] ^= 0x01;
+    EXPECT_FALSE(apps::verify_payload(offset, bad)) << "flipped at " << at;
+  }
+}
+
+TEST(PayloadPatternTest, VerifyRejectsTheWrongOffset) {
+  const std::uint64_t offset = 3 * 65000;
+  const BufSlice chunk = apps::make_payload_slice(offset, 65000);
+  EXPECT_TRUE(apps::verify_payload(offset, chunk.span()));
+  EXPECT_FALSE(apps::verify_payload(offset + 65000, chunk.span()));
+  EXPECT_FALSE(apps::verify_payload(offset - 65000, chunk.span()));
+}
+
+TEST(PayloadPatternTest, ChunkStraddlingThePeriodVerifies) {
+  constexpr std::uint64_t kAt = apps::kPayloadPeriod - 100;
+  const BufSlice chunk = apps::make_payload_slice(kAt, 65000);
+  EXPECT_TRUE(apps::verify_payload(kAt, chunk.span()));
+  const auto copied = apps::make_payload(kAt, 65000);
+  EXPECT_TRUE(std::equal(copied.begin(), copied.end(), chunk.data()));
+  // Past the period the content starts over from position 0.
+  const auto head = apps::make_payload(0, 1000);
+  EXPECT_TRUE(std::equal(head.begin(), head.end(), chunk.data() + 100));
+  // The same position in a later period carries the same bytes.
+  EXPECT_TRUE(apps::verify_payload(kAt + 7 * apps::kPayloadPeriod, chunk.span()));
+}
+
+TEST(PayloadPatternTest, LongPayloadTakesTheOwningFallback) {
+  const BufSlice view = apps::make_payload_slice(12345, apps::kPayloadSliceMax);
+  EXPECT_FALSE(view.unique()) << "short payloads share the pattern slab";
+  const std::size_t kLong = apps::kPayloadSliceMax + 1;
+  const BufSlice own = apps::make_payload_slice(12345, kLong);
+  ASSERT_EQ(own.size(), kLong);
+  EXPECT_TRUE(own.unique()) << "long payloads get a fresh slab";
+  EXPECT_TRUE(apps::verify_payload(12345, own.span()));
+  const BufSlice wrapped =
+      apps::make_payload_slice(apps::kPayloadPeriod - 10, 3 * apps::kPayloadPeriod);
+  EXPECT_TRUE(apps::verify_payload(apps::kPayloadPeriod - 10, wrapped.span()));
 }
 
 // --- Simulator hot path: allocation-free once warm ---
