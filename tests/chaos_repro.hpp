@@ -40,17 +40,24 @@ inline std::string self_exe() {
 }
 
 class ReproListener final : public ::testing::EmptyTestEventListener {
+  // The test's name is taken at its start: gtest reports a part result while
+  // holding the lock that current_test_info() takes, so asking for it here
+  // would deadlock on the first failure.
+  void OnTestStart(const ::testing::TestInfo& info) override {
+    test_ = std::string(info.test_suite_name()) + "." + info.name();
+  }
+  void OnTestEnd(const ::testing::TestInfo&) override { test_.clear(); }
   void OnTestPartResult(const ::testing::TestPartResult& result) override {
-    if (!result.failed()) return;
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    if (info == nullptr) return;
-    std::fprintf(stderr, "[  REPRO  ] %s --gtest_filter='%s.%s'\n",
-                 self_exe().c_str(), info->test_suite_name(), info->name());
+    if (!result.failed() || test_.empty()) return;
+    std::fprintf(stderr, "[  REPRO  ] %s --gtest_filter='%s'\n",
+                 self_exe().c_str(), test_.c_str());
     if (repro_seed() != 0) {
       std::fprintf(stderr, "[  REPRO  ] scenario seed: %llu\n",
                    static_cast<unsigned long long>(repro_seed()));
     }
   }
+
+  std::string test_;
 };
 
 inline const bool repro_listener_installed = [] {

@@ -232,6 +232,120 @@ TEST_F(ChaosNetsimTest, RandomFlapScheduleIsSeedDeterministic) {
   EXPECT_FALSE(t1.empty());
 }
 
+TEST_F(ChaosNetsimTest, RandomFlapTraceIsPinned) {
+  // Pins the pair list random_flaps draws from: distinct unordered pairs in
+  // the order a (src, dst)-ascending link walk first meets them. The mesh
+  // has one-way links (3 -> 1, 4 -> 0), whose pairs are first met at the
+  // reverse position, a self-loop, and a link replaced by a second add_link.
+  netsim::Network net(sim);
+  for (int i = 0; i < 5; ++i) net.add_host();
+  netsim::LinkConfig cfg;
+  net.add_link(4, 0, cfg);
+  net.add_duplex_link(2, 4, cfg);
+  net.add_link(3, 1, cfg);
+  net.add_link(2, 2, cfg);
+  net.add_duplex_link(0, 1, cfg);
+  cfg.propagation_delay = Duration::millis(3);
+  net.add_link(4, 2, cfg);  // replaces the reverse half of 2 <-> 4
+
+  netsim::ChaosSchedule chaos(net, 77);
+  chaos.random_flaps(12, Duration::millis(0), Duration::millis(100),
+                     Duration::millis(5));
+  chaos.arm();
+  sim.run();
+  EXPECT_EQ(chaos.trace_string(),
+            "7976799 down(2<->2)\n"
+            "12976799 up(2<->2)\n"
+            "26420589 down(0<->1)\n"
+            "26644525 down(1<->3)\n"
+            "31420589 up(0<->1)\n"
+            "31644525 up(1<->3)\n"
+            "36148520 down(0<->4)\n"
+            "38067991 down(1<->3)\n"
+            "41148520 up(0<->4)\n"
+            "42013651 down(0<->1)\n"
+            "43067991 up(1<->3)\n"
+            "45781394 down(2<->4)\n"
+            "47013651 up(0<->1)\n"
+            "50781394 up(2<->4)\n"
+            "82315219 down(0<->4)\n"
+            "86041876 down(2<->4)\n"
+            "87315219 up(0<->4)\n"
+            "89186887 down(0<->1)\n"
+            "89780004 down(0<->4)\n"
+            "91041876 up(2<->4)\n"
+            "93236547 down(1<->3)\n"
+            "94186887 up(0<->1)\n"
+            "94780004 up(0<->4)\n"
+            "98236547 up(1<->3)\n");
+}
+
+TEST_F(ChaosNetsimTest, HostAddedAfterPartitionKeepsFullConnectivity) {
+  netsim::Network net(sim);
+  auto& a = net.add_host();
+  auto& b = net.add_host();
+  net.partition({{a.id()}, {b.id()}});
+  auto& late = net.add_host();  // joins while the partition is active
+  netsim::LinkConfig cfg;
+  net.add_duplex_link(a.id(), b.id(), cfg);
+  net.add_duplex_link(a.id(), late.id(), cfg);
+  net.add_duplex_link(b.id(), late.id(), cfg);
+
+  int got = 0;
+  for (auto* h : {&a, &b, &late}) {
+    h->bind(netsim::IpProto::kUdp, 5, [&](const netsim::Datagram&) { ++got; });
+  }
+  EXPECT_FALSE(net.partitioned(late.id(), a.id()));
+  EXPECT_FALSE(net.partitioned(b.id(), late.id()));
+  EXPECT_TRUE(net.partitioned(b.id(), a.id()));
+  late.send(make_dg(a.id(), 5, 100));
+  late.send(make_dg(b.id(), 5, 100));
+  a.send(make_dg(late.id(), 5, 100));
+  b.send(make_dg(late.id(), 5, 100));
+  a.send(make_dg(b.id(), 5, 100));
+  sim.run();
+  EXPECT_EQ(got, 4);
+  EXPECT_EQ(net.partition_drops(), 1u);
+
+  // heal() restores every route.
+  net.heal();
+  got = 0;
+  for (auto* from : {&a, &b, &late}) {
+    for (auto* to : {&a, &b, &late}) {
+      if (from != to) from->send(make_dg(to->id(), 5, 100));
+    }
+  }
+  sim.run();
+  EXPECT_EQ(got, 6);
+  EXPECT_EQ(net.partition_drops(), 1u);
+  EXPECT_EQ(net.routing_drops(), 0u);
+}
+
+TEST_F(ChaosNetsimTest, PartitionNamingAHostNotYetAddedAppliesWhenItJoins) {
+  // A group may name an id beyond the current hosts. It is checked like any
+  // other id: sends towards it are partition drops, not routing drops, and a
+  // host that later takes that id is in the named group.
+  netsim::Network net(sim);
+  auto& a = net.add_host();
+  net.partition({{a.id()}, {3}});
+  EXPECT_TRUE(net.partitioned(a.id(), 3));
+  EXPECT_FALSE(net.partitioned(a.id(), 2));
+  a.send(make_dg(3, 5, 100));
+  a.send(make_dg(2, 5, 100));
+  sim.run();
+  EXPECT_EQ(net.partition_drops(), 1u);
+  EXPECT_EQ(net.routing_drops(), 1u);
+
+  net.add_host();
+  net.add_host();
+  auto& named = net.add_host();
+  ASSERT_EQ(named.id(), 3u);
+  EXPECT_TRUE(net.partitioned(named.id(), a.id()));
+  EXPECT_FALSE(net.partitioned(named.id(), 1));
+  net.heal();
+  EXPECT_FALSE(net.partitioned(named.id(), a.id()));
+}
+
 // --- Part B: full messaging stack under chaos ------------------------------
 
 /// Minimal consumer endpoint: records received ping sequence numbers.

@@ -218,5 +218,99 @@ TEST_F(NetsimTest, RuntimeLinkReconfiguration) {
   EXPECT_GT(gap, Duration::millis(45));
 }
 
+TEST_F(NetsimTest, ForEachLinkVisitsInAscendingSrcDstOrder) {
+  Network net(sim);
+  for (int i = 0; i < 5; ++i) net.add_host();
+  const std::vector<std::pair<HostId, HostId>> scrambled = {
+      {3, 1}, {0, 4}, {4, 0}, {1, 2}, {0, 1}, {2, 2}, {4, 3}, {1, 0}, {0, 2}};
+  for (const auto& [src, dst] : scrambled) net.add_link(src, dst, LinkConfig{});
+
+  std::vector<std::pair<HostId, HostId>> visited;
+  net.for_each_link(
+      [&](HostId src, HostId dst, Link&) { visited.emplace_back(src, dst); });
+  const std::vector<std::pair<HostId, HostId>> expected = {
+      {0, 1}, {0, 2}, {0, 4}, {1, 0}, {1, 2}, {2, 2}, {3, 1}, {4, 0}, {4, 3}};
+  EXPECT_EQ(visited, expected);
+}
+
+TEST_F(NetsimTest, AddLinkOverAnExistingPairReplacesIt) {
+  Network net(sim);
+  auto& a = net.add_host();
+  auto& b = net.add_host();
+  LinkConfig slow;
+  slow.propagation_delay = Duration::millis(40);
+  LinkConfig fast;
+  fast.propagation_delay = Duration::millis(2);
+  net.add_link(a.id(), b.id(), slow);
+  Link& replaced = net.add_link(a.id(), b.id(), fast);
+  EXPECT_EQ(net.link(a.id(), b.id()), &replaced);
+  EXPECT_EQ(replaced.config().propagation_delay.as_nanos(),
+            Duration::millis(2).as_nanos());
+
+  int visits = 0;
+  net.for_each_link([&](HostId, HostId, Link&) { ++visits; });
+  EXPECT_EQ(visits, 1);
+
+  TimePoint arrival;
+  b.bind(IpProto::kUdp, 5, [&](const Datagram&) { arrival = sim.now(); });
+  a.send(make_dg(b.id(), 5, 1, IpProto::kUdp));
+  sim.run();
+  EXPECT_LT(arrival.as_nanos(), Duration::millis(3).as_nanos());
+}
+
+TEST_F(NetsimTest, LinkLookupOfAnUnknownHostIsNull) {
+  Network net(sim);
+  auto& a = net.add_host();
+  auto& b = net.add_host();
+  net.add_link(a.id(), b.id(), LinkConfig{});
+  const Network& cnet = net;
+  EXPECT_NE(cnet.link(a.id(), b.id()), nullptr);
+  EXPECT_EQ(net.link(b.id(), a.id()), nullptr);  // no reverse link
+  EXPECT_EQ(net.link(a.id(), 7), nullptr);       // unknown destination
+  EXPECT_EQ(net.link(7, a.id()), nullptr);       // unknown source
+  EXPECT_EQ(cnet.link(7, 9), nullptr);
+}
+
+TEST_F(NetsimTest, RebindAfterUnbindDeliversToTheNewHandler) {
+  Network net(sim);
+  auto& a = net.add_host();
+  auto& b = net.add_host();
+  net.add_link(a.id(), b.id(), LinkConfig{});
+  int first = 0, second = 0, other = 0;
+  ASSERT_TRUE(b.bind(IpProto::kUdp, 5, [&](const Datagram&) { ++first; }));
+  ASSERT_TRUE(b.bind(IpProto::kUdp, 6, [&](const Datagram&) { ++other; }));
+  b.unbind(IpProto::kUdp, 5);
+  EXPECT_FALSE(b.bound(IpProto::kUdp, 5));
+  EXPECT_TRUE(b.bound(IpProto::kUdp, 6));
+  ASSERT_TRUE(b.bind(IpProto::kUdp, 5, [&](const Datagram&) { ++second; }));
+  a.send(make_dg(b.id(), 5, 100, IpProto::kUdp));
+  a.send(make_dg(b.id(), 6, 100, IpProto::kUdp));
+  sim.run();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(other, 1);
+}
+
+TEST_F(NetsimTest, EphemeralPortIsReusedOnlyAfterTheWrap) {
+  Network net(sim);
+  auto& a = net.add_host();
+  const auto noop = [](const Datagram&) {};
+  const Port first = a.bind_ephemeral(IpProto::kUdp, noop);
+  ASSERT_EQ(first, 49152);
+  a.unbind(IpProto::kUdp, first);
+  // The freed port is not handed out again until the counter wraps.
+  Port p = a.bind_ephemeral(IpProto::kUdp, noop);
+  EXPECT_EQ(p, first + 1);
+  const Port held = p;  // stays bound across the wrap
+  for (Port expect = held + 1; expect != 0; ++expect) {
+    p = a.bind_ephemeral(IpProto::kUdp, noop);
+    ASSERT_EQ(p, expect);
+    a.unbind(IpProto::kUdp, p);
+  }
+  // Wrapped: 49152 is free again, and the still-bound port is skipped.
+  EXPECT_EQ(a.bind_ephemeral(IpProto::kUdp, noop), first);
+  EXPECT_EQ(a.bind_ephemeral(IpProto::kUdp, noop), held + 1);
+}
+
 }  // namespace
 }  // namespace kmsg::netsim

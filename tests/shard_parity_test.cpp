@@ -488,9 +488,8 @@ GossipConfig gossip_config() {
 
 // Builds the world, runs it to quiescence, returns the observables.
 // shards == 0: plain sequential Network + Simulator (the golden reference).
-WorldResult run_world(Topo topo, std::uint64_t seed, unsigned shards,
-                      unsigned threads) {
-  const TopologySpec spec = make_topo(topo, seed);
+WorldResult run_world(const TopologySpec& spec, std::uint64_t seed,
+                      unsigned shards, unsigned threads) {
   std::unique_ptr<Simulator> plain;
   std::unique_ptr<ShardedSimulator> ssim;
   std::unique_ptr<Network> net;
@@ -545,6 +544,11 @@ WorldResult run_world(Topo topo, std::uint64_t seed, unsigned shards,
   return r;
 }
 
+WorldResult run_world(Topo topo, std::uint64_t seed, unsigned shards,
+                      unsigned threads) {
+  return run_world(make_topo(topo, seed), seed, shards, threads);
+}
+
 class ShardParitySweep
     : public ::testing::TestWithParam<std::tuple<Topo, std::uint64_t>> {};
 
@@ -584,5 +588,34 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::uint64_t{11}, std::uint64_t{42},
                                          std::uint64_t{1337})),
     sweep_name);
+
+// Golden values for a 16 x 8 star of regions with churn, crashes, a
+// partition and flaps. They pin every simulated outcome of the overlay, so a
+// change to netsim's tables or iteration order that moves any draw, peer list
+// or delivery shows up here even when all layouts still agree.
+TEST(GossipGolden, StarOfRegionsWithChurnAndFlapsIsPinned) {
+  kmsg::netsim::StarOfRegionsConfig topo;
+  topo.regions = 16;
+  topo.hosts_per_region = 8;
+  const std::uint64_t seed = 2024;
+  const TopologySpec spec = kmsg::netsim::make_star_of_regions(topo, seed);
+  GossipStats expected_stats;
+  expected_stats.heartbeats_sent = 13792;
+  expected_stats.heartbeats_received = 13291;
+  expected_stats.rumors_forwarded = 174;
+  expected_stats.rumor_deliveries = 63;
+  expected_stats.suspects = 78;
+  expected_stats.deaths = 16;
+  expected_stats.recoveries = 60;
+  expected_stats.stops = 3;
+  expected_stats.rejoins = 3;
+  for (const unsigned shards : {1u, 4u}) {
+    const WorldResult r = run_world(spec, seed, shards, 0);
+    EXPECT_EQ(r.gossip_fp, 2885246043104870544u) << shards << " shards";
+    EXPECT_EQ(r.stats, expected_stats) << shards << " shards";
+    EXPECT_EQ(r.partition_drops, 48u) << shards << " shards";
+    EXPECT_EQ(r.host_down_drops, 98u) << shards << " shards";
+  }
+}
 
 }  // namespace
