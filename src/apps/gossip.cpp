@@ -44,8 +44,19 @@ bool GossipNode::before_deadline(Duration lead) {
 }
 
 PeerHealth GossipNode::peer_health(netsim::HostId peer) const {
-  const auto it = views_.find(peer);
-  return it == views_.end() ? PeerHealth::kDead : it->second.health;
+  const PeerView* view = view_of(peer);
+  return view == nullptr ? PeerHealth::kDead : view->health;
+}
+
+const GossipNode::PeerView* GossipNode::view_of(netsim::HostId peer) const {
+  const auto it = std::lower_bound(
+      views_.begin(), views_.end(), peer,
+      [](const auto& v, netsim::HostId p) { return v.first < p; });
+  return it != views_.end() && it->first == peer ? &it->second : nullptr;
+}
+
+GossipNode::PeerView* GossipNode::view_of(netsim::HostId peer) {
+  return const_cast<PeerView*>(std::as_const(*this).view_of(peer));
 }
 
 void GossipNode::note(std::uint32_t code, std::uint64_t a, std::uint64_t b) {
@@ -66,10 +77,11 @@ void GossipNode::start() {
   host().bind(netsim::IpProto::kUdp, kGossipPort,
               [this](const netsim::Datagram& dg) { on_datagram(dg); });
   views_.clear();
+  views_.reserve(peers_.size());
   for (const netsim::HostId p : peers_) {
-    views_[p];  // Healthy
+    PeerView& view = views_.emplace_back(p, PeerView{}).second;  // Healthy
     if (before_deadline(overlay_.config_.suspect_timeout)) {
-      arm_peer_timeout(p, overlay_.config_.suspect_timeout);
+      arm_peer_timeout(view, p, overlay_.config_.suspect_timeout);
     }
   }
   // Per-node phase keeps 10k nodes from beating in one synchronised burst.
@@ -181,28 +193,28 @@ void GossipNode::forward_rumor(std::uint32_t rumor, std::uint8_t hop) {
 }
 
 void GossipNode::alive_sign(netsim::HostId peer) {
-  auto it = views_.find(peer);
-  if (it == views_.end()) return;  // not an overlay neighbour
-  PeerView& view = it->second;
-  if (view.health != PeerHealth::kHealthy) {
-    view.health = PeerHealth::kHealthy;
+  PeerView* view = view_of(peer);
+  if (view == nullptr) return;  // not an overlay neighbour
+  if (view->health != PeerHealth::kHealthy) {
+    view->health = PeerHealth::kHealthy;
     ++local_.recoveries;
     note(kFpRecover, peer, 0);
   }
-  view.timeout.cancel();
+  view->timeout.cancel();
   if (before_deadline(overlay_.config_.suspect_timeout)) {
-    arm_peer_timeout(peer, overlay_.config_.suspect_timeout);
+    arm_peer_timeout(*view, peer, overlay_.config_.suspect_timeout);
   }
 }
 
-void GossipNode::arm_peer_timeout(netsim::HostId peer, Duration after) {
-  views_[peer].timeout =
+void GossipNode::arm_peer_timeout(PeerView& view, netsim::HostId peer,
+                                  Duration after) {
+  view.timeout =
       sim().schedule_after(after, [this, peer] { on_peer_timeout(peer); });
 }
 
 void GossipNode::on_peer_timeout(netsim::HostId peer) {
   if (!running_) return;
-  PeerView& view = views_[peer];
+  PeerView& view = *view_of(peer);
   if (view.health == PeerHealth::kHealthy) {
     view.health = PeerHealth::kSuspected;
     ++local_.suspects;
@@ -210,7 +222,7 @@ void GossipNode::on_peer_timeout(netsim::HostId peer) {
     const Duration rest =
         overlay_.config_.dead_timeout - overlay_.config_.suspect_timeout;
     if (rest > Duration::zero() && before_deadline(rest)) {
-      arm_peer_timeout(peer, rest);
+      arm_peer_timeout(view, peer, rest);
     }
   } else if (view.health == PeerHealth::kSuspected) {
     view.health = PeerHealth::kDead;
@@ -231,8 +243,9 @@ void GossipOverlay::start() {
   const auto n = static_cast<netsim::HostId>(net_.host_count());
 
   // Overlay neighbours = directed link adjacency (generated topologies are
-  // duplex, so this is symmetric there). links_ iterates in (src, dst)
-  // order, so the per-node peer lists come out sorted and deterministic.
+  // duplex, so this is symmetric there). for_each_link walks links in
+  // ascending (src, dst) order, so the per-node peer lists come out sorted
+  // and deterministic.
   std::vector<std::vector<netsim::HostId>> adj(n);
   net_.for_each_link([&adj, n](netsim::HostId src, netsim::HostId dst,
                                netsim::Link&) {

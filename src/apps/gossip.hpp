@@ -34,9 +34,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "netsim/network.hpp"
@@ -116,7 +116,10 @@ class GossipNode {
   void accept_rumor(std::uint32_t rumor, std::uint8_t hop);
   void forward_rumor(std::uint32_t rumor, std::uint8_t hop);
   void alive_sign(netsim::HostId peer);
-  void arm_peer_timeout(netsim::HostId peer, Duration after);
+  /// The view of overlay neighbour `peer`, or nullptr for a non-neighbour.
+  const PeerView* view_of(netsim::HostId peer) const;
+  PeerView* view_of(netsim::HostId peer);
+  void arm_peer_timeout(PeerView& view, netsim::HostId peer, Duration after);
   void on_peer_timeout(netsim::HostId peer);
   /// Folds an observable event into this node's fingerprint hash.
   void note(std::uint32_t code, std::uint64_t a, std::uint64_t b);
@@ -129,8 +132,9 @@ class GossipNode {
   netsim::HostId id_;
   Rng rng_;
   bool running_ = false;
-  std::vector<netsim::HostId> peers_;
-  std::map<netsim::HostId, PeerView> views_;
+  std::vector<netsim::HostId> peers_;  ///< sorted, distinct
+  /// One view per peer, in peers_ order (so sorted by peer).
+  std::vector<std::pair<netsim::HostId, PeerView>> views_;
   std::unordered_set<std::uint32_t> seen_;
   sim::EventHandle heartbeat_;
 

@@ -235,14 +235,14 @@ ChaosSchedule& ChaosSchedule::crash_recover_at(Duration t, HostId h,
 
 ChaosSchedule& ChaosSchedule::random_flaps(int count, Duration from, Duration to,
                                            Duration down_for) {
-  // Collect the distinct unordered linked pairs once; the draw order below
+  // Collect the distinct unordered linked pairs once, in the order the
+  // ascending (src, dst) walk first meets them: at (min, max), or at
+  // (max, min) when that is the pair's only direction. The draw order below
   // depends only on (seed, network shape), keeping schedules replayable.
   std::vector<std::pair<HostId, HostId>> pairs;
-  net_.for_each_link([&pairs](HostId src, HostId dst, Link&) {
-    const auto key = std::minmax(src, dst);
-    if (std::find(pairs.begin(), pairs.end(),
-                  std::make_pair(key.first, key.second)) == pairs.end()) {
-      pairs.emplace_back(key.first, key.second);
+  net_.for_each_link([this, &pairs](HostId src, HostId dst, Link&) {
+    if (src <= dst || net_.link(dst, src) == nullptr) {
+      pairs.push_back(std::minmax(src, dst));
     }
   });
   if (pairs.empty() || to <= from) return *this;

@@ -1,8 +1,10 @@
 #include "netsim/network.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -12,16 +14,27 @@ sim::Simulator& Host::network_simulator() {
   return net_.simulator_on(shard_);
 }
 
-bool Host::bind(IpProto proto, Port port, Handler handler) {
-  auto [it, inserted] = bindings_.try_emplace({proto, port}, std::move(handler));
-  (void)it;
-  return inserted;
+const Host::Binding* Host::find_binding(IpProto proto, Port port) const {
+  for (const Binding& b : bindings_) {
+    if (b.port == port && b.proto == proto) return &b;
+  }
+  return nullptr;
 }
 
-void Host::unbind(IpProto proto, Port port) { bindings_.erase({proto, port}); }
+bool Host::bind(IpProto proto, Port port, Handler handler) {
+  if (bound(proto, port)) return false;
+  bindings_.push_back({proto, port, std::move(handler)});
+  return true;
+}
+
+void Host::unbind(IpProto proto, Port port) {
+  std::erase_if(bindings_, [proto, port](const Binding& b) {
+    return b.port == port && b.proto == proto;
+  });
+}
 
 bool Host::bound(IpProto proto, Port port) const {
-  return bindings_.count({proto, port}) > 0;
+  return find_binding(proto, port) != nullptr;
 }
 
 Port Host::bind_ephemeral(IpProto proto, Handler handler) {
@@ -67,13 +80,13 @@ void Host::deliver(const Datagram& dg) {
     ++dropped_while_down_;
     return;
   }
-  auto it = bindings_.find({dg.proto, dg.dst_port});
-  if (it == bindings_.end()) {
+  const Binding* b = find_binding(dg.proto, dg.dst_port);
+  if (b == nullptr) {
     KMSG_TRACE("netsim") << "host " << id_ << ": no binding for port "
                          << dg.dst_port << ", dropping";
     return;
   }
-  it->second(dg);
+  b->handler(dg);
 }
 
 Network::Network(sim::Simulator& sim, std::uint64_t seed)
@@ -94,6 +107,7 @@ Host& Network::add_host(unsigned shard) {
   }
   const auto id = static_cast<HostId>(hosts_.size());
   hosts_.emplace_back(std::unique_ptr<Host>(new Host(*this, id, shard)));
+  links_.emplace_back();
   return *hosts_.back();
 }
 
@@ -123,9 +137,11 @@ Link& Network::add_link(HostId src, HostId dst, LinkConfig config) {
   auto link = std::make_unique<Link>(src_sim, config,
                                      sim::delivery_key_base(src, dst),
                                      std::move(hook), rng_.split());
-  auto& slot = links_[{src, dst}];
-  slot = std::move(link);
-  return *slot;
+  auto& out = links_[src];
+  auto it = std::lower_bound(out.begin(), out.end(), dst);
+  if (it == out.end() || it->dst != dst) it = out.insert(it, {dst, nullptr});
+  it->link = std::move(link);
+  return *it->link;
 }
 
 void Network::add_duplex_link(HostId a, HostId b, const LinkConfig& config) {
@@ -134,13 +150,14 @@ void Network::add_duplex_link(HostId a, HostId b, const LinkConfig& config) {
 }
 
 Link* Network::link(HostId src, HostId dst) {
-  auto it = links_.find({src, dst});
-  return it == links_.end() ? nullptr : it->second.get();
+  return const_cast<Link*>(std::as_const(*this).link(src, dst));
 }
 
 const Link* Network::link(HostId src, HostId dst) const {
-  auto it = links_.find({src, dst});
-  return it == links_.end() ? nullptr : it->second.get();
+  if (src >= links_.size()) return nullptr;
+  const auto& out = links_[src];
+  const auto it = std::lower_bound(out.begin(), out.end(), dst);
+  return it != out.end() && it->dst == dst ? it->link.get() : nullptr;
 }
 
 void Network::finalize_shards() {
@@ -148,21 +165,21 @@ void Network::finalize_shards() {
   const unsigned k = shard_count();
   std::vector<std::int64_t> floor(static_cast<std::size_t>(k) * k,
                                   std::numeric_limits<std::int64_t>::max());
-  for (const auto& [key, l] : links_) {
-    const unsigned from = shard_of(key.first);
-    const unsigned to = shard_of(key.second);
-    if (from == to) continue;
-    const std::int64_t f = l->config().min_propagation_delay.as_nanos();
+  for_each_link([&](HostId src, HostId dst, Link& l) {
+    const unsigned from = shard_of(src);
+    const unsigned to = shard_of(dst);
+    if (from == to) return;
+    const std::int64_t f = l.config().min_propagation_delay.as_nanos();
     if (f <= 0) {
       throw std::logic_error(
-          "Network::finalize_shards: cross-shard link " +
-          std::to_string(key.first) + " -> " + std::to_string(key.second) +
-          " (shard " + std::to_string(from) + " -> " + std::to_string(to) +
+          "Network::finalize_shards: cross-shard link " + std::to_string(src) +
+          " -> " + std::to_string(dst) + " (shard " + std::to_string(from) +
+          " -> " + std::to_string(to) +
           ") needs a positive min_propagation_delay");
     }
     auto& slot = floor[static_cast<std::size_t>(from) * k + to];
     slot = std::min(slot, f);
-  }
+  });
   for (unsigned from = 0; from < k; ++from) {
     for (unsigned to = 0; to < k; ++to) {
       if (from == to) continue;
@@ -185,9 +202,11 @@ void Network::heal() {
 void Network::partition_on(unsigned shard,
                            const std::vector<std::vector<HostId>>& groups) {
   auto& view = shard_state_.at(shard).partition_group;
-  view.clear();
+  view.assign(hosts_.size(), -1);
   for (std::size_t g = 0; g < groups.size(); ++g) {
     for (const HostId h : groups[g]) {
+      // A group may name a host not added yet; it joins in that group.
+      if (h >= view.size()) view.resize(std::size_t{h} + 1, -1);
       view[h] = static_cast<int>(g);
     }
   }
@@ -203,11 +222,8 @@ bool Network::partitioned(HostId a, HostId b) const {
 
 bool Network::partitioned_on(unsigned shard, HostId a, HostId b) const {
   const auto& view = shard_state_.at(shard).partition_group;
-  if (view.empty()) return false;
-  const auto ga = view.find(a);
-  const auto gb = view.find(b);
-  if (ga == view.end() || gb == view.end()) return false;
-  return ga->second != gb->second;
+  if (a >= view.size() || b >= view.size()) return false;
+  return view[a] >= 0 && view[b] >= 0 && view[a] != view[b];
 }
 
 std::uint64_t Network::routing_drops() const {
@@ -224,7 +240,9 @@ std::uint64_t Network::partition_drops() const {
 
 void Network::for_each_link(
     const std::function<void(HostId, HostId, Link&)>& fn) {
-  for (auto& [key, l] : links_) fn(key.first, key.second, *l);
+  for (HostId src = 0; src < links_.size(); ++src) {
+    for (const OutLink& l : links_[src]) fn(src, l.dst, *l.link);
+  }
 }
 
 void Network::route(const Datagram& dg) {

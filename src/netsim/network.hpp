@@ -23,9 +23,7 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "netsim/link.hpp"
@@ -95,10 +93,19 @@ class Host {
       : net_(net), id_(id), shard_(shard) {}
   void deliver(const Datagram& dg);
 
+  struct Binding {
+    IpProto proto;
+    Port port;
+    Handler handler;
+  };
+  /// A host binds a handful of ports, so a linear find beats a tree. A
+  /// handler that binds or unbinds may move the others (and itself) in here.
+  const Binding* find_binding(IpProto proto, Port port) const;
+
   Network& net_;
   HostId id_;
   unsigned shard_;
-  std::map<std::pair<IpProto, Port>, Handler> bindings_;
+  std::vector<Binding> bindings_;
   Port next_ephemeral_ = 49152;
   bool up_ = true;
   std::uint64_t incarnation_ = 1;
@@ -174,7 +181,9 @@ class Network {
   /// sender's (a's) shard — the view route() consults.
   bool partitioned(HostId a, HostId b) const;
 
-  /// Applies `fn(src, dst, link)` to every link (chaos broadcast knobs).
+  /// Applies `fn(src, dst, link)` to every link (chaos broadcast knobs), in
+  /// ascending (src, dst) order. Seeded draws over the link set
+  /// (ChaosSchedule::random_flaps) and the gossip peer lists rely on it.
   void for_each_link(const std::function<void(HostId, HostId, Link&)>& fn);
 
  private:
@@ -182,7 +191,9 @@ class Network {
 
   /// State owned (written) exclusively by one shard's execution.
   struct ShardState {
-    std::map<HostId, int> partition_group;  ///< empty = no partition
+    /// Group of each host id, -1 for none; ids past the end are in no group.
+    /// Empty = no partition.
+    std::vector<int> partition_group;
     std::uint64_t routing_drops = 0;
     std::uint64_t partition_drops = 0;
   };
@@ -193,7 +204,13 @@ class Network {
   sim::ShardedSimulator* ssim_ = nullptr;  ///< sharded mode
   Rng rng_;
   std::vector<std::unique_ptr<Host>> hosts_;
-  std::map<std::pair<HostId, HostId>, std::unique_ptr<Link>> links_;
+  struct OutLink {
+    HostId dst;
+    std::unique_ptr<Link> link;
+    friend bool operator<(const OutLink& l, HostId d) { return l.dst < d; }
+  };
+  /// links_[src]: src's outgoing links, sorted by dst.
+  std::vector<std::vector<OutLink>> links_;
   std::vector<ShardState> shard_state_;  ///< one per shard
 };
 
