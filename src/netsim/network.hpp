@@ -24,6 +24,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "netsim/link.hpp"
