@@ -47,6 +47,8 @@ class DataChunkMsg final : public messaging::Msg, public messaging::DataMsg {
   std::size_t serialized_size_hint() const override {
     return bytes_.size() + 64;
   }
+  /// The payload is written whole, as a blob, into the envelope.
+  std::size_t serialized_size_floor() const override { return bytes_.size(); }
 
   messaging::MsgPtr with_protocol(messaging::Transport t) const override {
     return kompics::make_event<DataChunkMsg>(header_.with_protocol(t),

@@ -38,6 +38,11 @@ class Msg : public kompics::KompicsEvent {
   /// growth copies). The default covers small control messages; bulk
   /// messages should override with payload size + slack.
   virtual std::size_t serialized_size_hint() const { return 64; }
+  /// Lower bound on the serialised envelope + body size: the serialiser
+  /// never produces fewer bytes. Lets the network component refuse a message
+  /// a full session queue cannot take without serialising it first. The
+  /// default (0) never refuses; bulk messages return their payload length.
+  virtual std::size_t serialized_size_floor() const { return 0; }
 };
 
 using MsgPtr = kompics::EventRef<Msg>;

@@ -113,6 +113,40 @@ TEST(SerializerRegistryTest, DataChunkRoundTrip) {
   EXPECT_NE(dynamic_cast<const DataMsg*>(msg.get()), nullptr);
 }
 
+// The network component refuses on Msg::serialized_size_floor() before
+// serialising; a floor above the real envelope size would refuse a message
+// the queue could still take.
+TEST(SerializerRegistryTest, SizeFloorNeverExceedsTheEnvelope) {
+  SerializerRegistry reg;
+  apps::register_app_serializers(reg);
+  const Address src{1, 100, 2};
+  const Address dst{2, 200, 3};
+  for (const std::size_t len :
+       {std::size_t{0}, std::size_t{1}, std::size_t{1399}, std::size_t{65000},
+        (std::size_t{1} << 20) + 13}) {
+    DataChunkMsg chunk{DataHeader{src, dst, Transport::kUdt}, 7, 0,
+                       apps::make_payload_slice(0, len), true};
+    auto bytes = reg.serialize(chunk);
+    ASSERT_TRUE(bytes);
+    EXPECT_EQ(chunk.serialized_size_floor(), len);
+    EXPECT_LE(chunk.serialized_size_floor(), bytes->size()) << "payload " << len;
+  }
+  const BasicHeader h{src, dst, Transport::kTcp};
+  const std::vector<MsgPtr> others = {
+      kompics::make_event<apps::TransferCompleteMsg>(h, 7, 1u << 30),
+      kompics::make_event<PingMsg>(h, 1, 2),
+      kompics::make_event<PongMsg>(h, 1, 2),
+      kompics::make_event<apps::TelemetryMsg>(
+          h, "sensor-0042", 9, 3,
+          std::array<std::uint64_t, apps::TelemetryMsg::kReadings>{
+              1, 2, 3, 4, 5, 6, 7, 8})};
+  for (const auto& m : others) {
+    auto bytes = reg.serialize(*m);
+    ASSERT_TRUE(bytes) << "type " << m->type_id();
+    EXPECT_LE(m->serialized_size_floor(), bytes->size()) << "type " << m->type_id();
+  }
+}
+
 TEST(SerializerRegistryTest, UnknownTypeRejected) {
   SerializerRegistry reg;  // nothing registered
   BasicHeader h{Address{1, 1}, Address{2, 2}, Transport::kTcp};

@@ -411,6 +411,85 @@ TEST_F(SupervisionFixture, QueueOverflowFailsNotifyAndCounts) {
   EXPECT_LE(net_a.queued_bytes_total(), 64u * 1024u);
 }
 
+// The session-queue limit is inclusive and measured on the serialised
+// envelope: a chunk that fills the queue exactly is taken, one byte more is
+// refused, and a refusal leaves the queue as it was.
+TEST_F(SupervisionFixture, QueueLimitIsExactOnTheEnvelopeSize) {
+  constexpr std::size_t kLimit = 64 * 1024;
+  apps::ExperimentConfig cfg;
+  cfg.setup = netsim::Setup::kEuVpc;
+  cfg.net.supervision_enabled = false;
+  cfg.net.session_queue_limit_bytes = kLimit;
+  build(cfg);
+
+  netsim::ChaosSchedule chaos(exp->network());
+  chaos.partition_at(Duration::zero(),
+                     {{exp->addr_a().host}, {exp->addr_b().host}});
+  chaos.arm();
+  exp->run_for(Duration::millis(1));  // the session never drains
+
+  auto& net_a = exp->network_a();
+  const auto envelope = [&](std::size_t len) {
+    return exp->registry()->serialize(*chunk(Transport::kTcp, 0, len))->size();
+  };
+  probe_a->send_notified(chunk(Transport::kTcp, 0, 30000), 1);
+  exp->run_for(Duration::millis(1));
+  const std::size_t room = kLimit - net_a.queued_bytes_total();
+  ASSERT_EQ(net_a.queued_bytes_total(), envelope(30000));
+  ASSERT_EQ(net_a.net_stats().sessions_opened, 1u);
+  // The payload whose envelope fills the remaining room exactly.
+  std::size_t fill = room;
+  while (envelope(fill) > room) --fill;
+  ASSERT_EQ(envelope(fill), room);
+  ASSERT_EQ(envelope(fill + 1), room + 1);
+
+  probe_a->send_notified(chunk(Transport::kTcp, 0, fill + 1), 2);  // 1 B over
+  probe_a->send_notified(chunk(Transport::kTcp, 0, room + 1), 3);  // payload alone over
+  exp->run_for(Duration::millis(1));
+  EXPECT_EQ(net_a.net_stats().queue_overflow, 2u);
+  EXPECT_EQ(net_a.queued_bytes_total(), kLimit - room);
+  probe_a->send_notified(chunk(Transport::kTcp, 0, fill), 4);  // exactly full
+  probe_a->send_notified(chunk(Transport::kTcp, 0, 0), 5);     // full: refused
+  exp->run_for(Duration::millis(1));
+  EXPECT_EQ(net_a.queued_bytes_total(), kLimit);
+  EXPECT_EQ(net_a.net_stats().queue_overflow, 3u);
+  EXPECT_EQ(net_a.net_stats().sessions_opened, 1u);
+
+  const std::vector<std::pair<NotifyId, DeliveryStatus>> want = {
+      {2, DeliveryStatus::kFailed},
+      {3, DeliveryStatus::kFailed},
+      {5, DeliveryStatus::kFailed}};
+  EXPECT_EQ(probe_a->responses, want);  // 1 and 4 are queued, not answered
+}
+
+// A message too large for any queue still opens the session it asks for:
+// the refusal happens after the session exists, as for every other refusal.
+TEST_F(SupervisionFixture, OversizedMessageStillOpensOneSession) {
+  constexpr std::size_t kLimit = 64 * 1024;
+  apps::ExperimentConfig cfg;
+  cfg.setup = netsim::Setup::kEuVpc;
+  cfg.net.supervision_enabled = false;
+  cfg.net.session_queue_limit_bytes = kLimit;
+  build(cfg);
+
+  probe_a->send_notified(chunk(Transport::kTcp, 0, kLimit + 1), 1);
+  exp->run_for(Duration::millis(1));
+  auto& net_a = exp->network_a();
+  EXPECT_EQ(net_a.net_stats().sessions_opened, 1u);
+  EXPECT_EQ(net_a.session_count(), 1u);
+  EXPECT_EQ(net_a.net_stats().queue_overflow, 1u);
+  probe_a->send_notified(chunk(Transport::kTcp, 0, kLimit + 1), 2);
+  exp->run_for(Duration::millis(1));
+  EXPECT_EQ(net_a.net_stats().sessions_opened, 1u);
+  EXPECT_EQ(net_a.net_stats().queue_overflow, 2u);
+  EXPECT_EQ(probe_a->count_status(DeliveryStatus::kFailed), 2u);
+  // The session it opened carries the next message that fits.
+  probe_a->send(ping(1));
+  exp->run_for(Duration::seconds(1.0));
+  EXPECT_EQ(probe_b->messages.size(), 1u);
+  EXPECT_EQ(net_a.net_stats().sessions_opened, 1u);
+}
+
 // Satellite (b): serialisation failures and nonsense transports answer the
 // notify with Failed (and count) rather than silently dropping or crashing.
 TEST_F(SupervisionFixture, SerializeFailureAndUnsupportedTransportAnswer) {
