@@ -24,9 +24,16 @@ void DataSource::setup() {
       pump();
       return;
     }
-    KMSG_WARN("data-source") << "chunk send failed via " << to_string(resp.via)
-                             << " (" << to_string(resp.status)
-                             << "), will retransmit offset " << failed.offset;
+    // kFailed is mostly a full session queue, the normal backpressure of a
+    // bulk sender (its other causes warn where they happen); a dead or
+    // timed-out peer is worth a warning.
+    const auto level = resp.status == messaging::DeliveryStatus::kFailed
+                           ? LogLevel::kDebug
+                           : LogLevel::kWarn;
+    KMSG_LOG(level, "data-source")
+        << "chunk send failed via " << to_string(resp.via) << " ("
+        << to_string(resp.status) << "), will retransmit offset "
+        << failed.offset;
     // The chunk never reached the wire; schedule it for retransmission so a
     // fixed-size transfer still completes (queue overflow / peer death drop
     // frames, and nothing below this layer resends them).

@@ -265,6 +265,29 @@ void NetworkComponent::handle_outgoing(MsgPtr msg, std::optional<NotifyId> notif
     return;
   }
 
+  const Address peer = h.destination().with_vnode(0);
+  PeerState* dead = nullptr;
+  if (config_.supervision_enabled) {
+    if (auto it = peers_.find(peer);
+        it != peers_.end() && it->second->health == PeerHealth::kDead) {
+      dead = it->second.get();
+    }
+  }
+  // A message its size floor already shuts out of an existing session's
+  // queue would be refused after serialising too: refuse it without copying
+  // its payload. Only an existing session is consulted (opening one is an
+  // outcome), and a Dead peer's messages still take the path below.
+  if (const std::size_t floor = msg->serialized_size_floor();
+      floor > 0 && dead == nullptr) {
+    if (auto it = sessions_.find({peer, proto});
+        it != sessions_.end() &&
+        it->second->queued_bytes + floor > config_.session_queue_limit_bytes &&
+        registry_->knows(msg->type_id())) {
+      refuse_queue_full(notify, proto, floor);
+      return;
+    }
+  }
+
   // If the protocol was rewritten (DATA fallback), the wire envelope must
   // carry the resolved protocol so the receiver sees what was actually used.
   std::optional<Transport> override;
@@ -281,31 +304,24 @@ void NetworkComponent::handle_outgoing(MsgPtr msg, std::optional<NotifyId> notif
   // (encode_submsg / build_wire_frame): their output depends on the specific
   // connection the message ends up on.
 
-  const Address peer = h.destination().with_vnode(0);
-  if (config_.supervision_enabled) {
-    if (auto it = peers_.find(peer);
-        it != peers_.end() && it->second->health == PeerHealth::kDead) {
-      // The supervisor has declared this peer Dead: fail notifies
-      // immediately rather than letting them age in a queue, and park
-      // fire-and-forget messages for replay if the peer recovers in time.
-      if (notify) {
-        ++stats_.msgs_dropped;
-        notify_result(*notify, DeliveryStatus::kPeerFailed, proto,
-                      payload_bytes);
-      } else {
-        park_dead_letter(*it->second, std::move(*serialized), msg->type_id(),
-                         proto, payload_bytes);
-      }
-      return;
+  if (dead != nullptr) {
+    // The supervisor has declared this peer Dead: fail notifies
+    // immediately rather than letting them age in a queue, and park
+    // fire-and-forget messages for replay if the peer recovers in time.
+    if (notify) {
+      ++stats_.msgs_dropped;
+      notify_result(*notify, DeliveryStatus::kPeerFailed, proto, payload_bytes);
+    } else {
+      park_dead_letter(*dead, std::move(*serialized), msg->type_id(), proto,
+                       payload_bytes);
     }
+    return;
   }
 
   Session& s = session_for(peer, proto);
   const std::size_t acct = serialized->size();
   if (s.queued_bytes + acct > config_.session_queue_limit_bytes) {
-    ++stats_.queue_overflow;
-    ++stats_.msgs_dropped;
-    if (notify) notify_result(*notify, DeliveryStatus::kFailed, proto, payload_bytes);
+    refuse_queue_full(notify, proto, payload_bytes);
     return;
   }
   s.queued_bytes += acct;
@@ -318,6 +334,13 @@ void NetworkComponent::handle_outgoing(MsgPtr msg, std::optional<NotifyId> notif
   s.queue.push_back(std::move(m));
   s.last_activity = system().clock().now();
   if (s.connected) drain(s);
+}
+
+void NetworkComponent::refuse_queue_full(std::optional<NotifyId> notify,
+                                         Transport proto, std::size_t bytes) {
+  ++stats_.queue_overflow;
+  ++stats_.msgs_dropped;
+  if (notify) notify_result(*notify, DeliveryStatus::kFailed, proto, bytes);
 }
 
 void NetworkComponent::send_udp(const Msg& msg, std::optional<NotifyId> notify) {
@@ -434,8 +457,8 @@ void NetworkComponent::drain(Session& s) {
       build_wire_frame(s);
     }
     WireFrame& w = *s.wire;
-    const std::span<const std::uint8_t> rest = w.bytes.span().subspan(w.offset);
-    const std::size_t n = s.conn->write(rest);
+    const std::size_t n =
+        s.conn->write(w.bytes.slice(w.offset, w.bytes.size() - w.offset));
     w.offset += n;
     if (w.offset < w.bytes.size()) return;  // transport backpressure
     stats_.wire_bytes_sent += w.bytes.size();
@@ -944,7 +967,7 @@ void NetworkComponent::handle_heartbeat(const HeartbeatMsg& hb, Inbound* from) {
     auto serialized = registry_->serialize(echo);
     if (!serialized) return;
     auto framed = encode_oneoff_frame(std::move(*serialized));
-    from->conn->write(framed.span());
+    from->conn->write(std::move(framed));
     ++stats_.heartbeats_sent;
   }
 }

@@ -292,6 +292,10 @@ class NetworkComponent final : public kompics::ComponentDefinition {
   void handle_outgoing(MsgPtr msg, std::optional<NotifyId> notify);
   void reflect_local(MsgPtr msg, std::optional<NotifyId> notify);
   void send_udp(const Msg& msg, std::optional<NotifyId> notify);
+  /// A message the session queue has no room for: counted and, if asked,
+  /// answered with kFailed.
+  void refuse_queue_full(std::optional<NotifyId> notify, Transport proto,
+                         std::size_t bytes);
   Session& session_for(const Address& peer, Transport t);
   void open_session(Session& s);
   void drain(Session& s);

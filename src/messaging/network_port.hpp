@@ -26,7 +26,8 @@ enum class DeliveryStatus : std::uint8_t {
   /// All bytes were accepted by the transport (stream) / emitted (UDP).
   kSent,
   /// The session failed or the message was rejected before transmission
-  /// (serialisation error, unsupported transport, queue overflow).
+  /// (serialisation error, unsupported transport, or a full session queue —
+  /// the normal backpressure signal of a sender that outruns its session).
   kFailed,
   /// The destination peer was declared Dead by the supervision layer after
   /// channel reconnect attempts were exhausted.
@@ -53,7 +54,10 @@ struct MessageNotifyResp final : kompics::KompicsEvent {
   NotifyId id;
   DeliveryStatus status;
   Transport via;       ///< the concrete transport used
-  std::size_t bytes;   ///< serialised size on the wire (pre-framing)
+  /// Serialised size on the wire (pre-framing). Meaningful only for kSent:
+  /// a queue refusal may report a lower bound, since it can happen before
+  /// the message is serialised.
+  std::size_t bytes;
 };
 
 /// Snapshot of one transport session's progress, emitted periodically by the

@@ -20,7 +20,7 @@ struct LedbatHandshake : netsim::DatagramBody {
 struct LedbatData : netsim::DatagramBody {
   std::uint64_t seq = 0;
   std::int64_t send_ts_ns = 0;  ///< sender clock at emission
-  std::vector<std::uint8_t> payload;
+  wire::BufSlice payload;
 };
 
 struct LedbatAck : netsim::DatagramBody {
@@ -183,7 +183,7 @@ void LedbatConnection::handle_ack(const LedbatAck& pkt) {
 void LedbatConnection::handle_data(const LedbatData& pkt) {
   const Duration one_way =
       simulator().now() - TimePoint::from_nanos(pkt.send_ts_ns);
-  deliver(pkt.seq, {pkt.payload.data(), pkt.payload.size()});
+  deliver(pkt.seq, pkt.payload.span());
   auto ack = std::make_shared<LedbatAck>();
   ack->ack_to = reasm_.expected();
   ack->window = static_cast<std::uint32_t>(

@@ -1,8 +1,57 @@
 #include "transport/stream.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <stdexcept>
+
+#include "wire/bytebuf.hpp"
 
 namespace kmsg::transport {
+
+SendBuffer::SendBuffer(std::size_t capacity) : capacity_(capacity) {
+  if (capacity == 0) throw std::invalid_argument("SendBuffer capacity must be > 0");
+}
+
+std::size_t SendBuffer::write(wire::BufSlice data) {
+  const std::size_t n = std::min(data.size(), free_space());
+  if (n == 0) return 0;
+  if (n < data.size()) data = data.slice(0, n);
+  entries_.push_back(Entry{end_, data.to_owned()});
+  end_ += n;
+  return n;
+}
+
+wire::BufSlice SendBuffer::read_at(std::uint64_t at, std::size_t len) const {
+  if (at < base_ || at + len > end_) {
+    throw std::out_of_range("SendBuffer::read_at outside retained range");
+  }
+  if (len == 0) return {};
+  // The last entry starting at or below `at` holds its first byte.
+  auto it = std::upper_bound(
+      entries_.begin(), entries_.end(), at,
+      [](std::uint64_t a, const Entry& e) { return a < e.start; });
+  --it;
+  auto offset = static_cast<std::size_t>(at - it->start);
+  if (offset + len <= it->bytes.size()) return it->bytes.slice(offset, len);
+  // Straddles an entry boundary: gather the pieces into one fresh slab.
+  wire::ByteBuf out{len};
+  std::uint8_t* dst = out.write_span(len).data();
+  for (std::size_t copied = 0; copied < len; ++it, offset = 0) {
+    const std::size_t n = std::min(len - copied, it->bytes.size() - offset);
+    std::memcpy(dst + copied, it->bytes.data() + offset, n);
+    copied += n;
+  }
+  wire::SlabPool::instance().count_payload_copy(len);
+  return std::move(out).take_slice();
+}
+
+void SendBuffer::release_until(std::uint64_t to) {
+  base_ = std::clamp(to, base_, end_);
+  while (!entries_.empty() &&
+         entries_.front().start + entries_.front().bytes.size() <= base_) {
+    entries_.pop_front();
+  }
+}
 
 StreamConnection::StreamConnection(netsim::Host& host, netsim::HostId peer,
                                    netsim::Port peer_port, bool passive,
@@ -62,11 +111,12 @@ void StreamConnection::enter_established() {
   transmit();
 }
 
-std::size_t StreamConnection::write(std::span<const std::uint8_t> data) {
+std::size_t StreamConnection::write(wire::BufSlice data) {
   if (state_ == ConnState::kClosed || state_ == ConnState::kClosing) return 0;
-  const std::size_t n = send_buf_.write(data);
+  const std::size_t want = data.size();
+  const std::size_t n = send_buf_.write(std::move(data));
   stats_.bytes_written += n;
-  if (n < data.size()) want_writable_ = true;
+  if (n < want) want_writable_ = true;
   if (state_ == ConnState::kEstablished) transmit();
   return n;
 }
@@ -154,10 +204,14 @@ void StreamConnection::notify_writable() {
   }
 }
 
-void StreamConnection::flip_payload_bit(std::vector<std::uint8_t>& payload,
+void StreamConnection::flip_payload_bit(wire::BufSlice& payload,
                                         std::uint64_t seq) {
-  const std::size_t at = static_cast<std::size_t>(seq) % payload.size();
-  payload[at] ^= static_cast<std::uint8_t>(1u << (seq % 8));
+  wire::ByteBuf copy{payload.size()};
+  const auto bytes = copy.write_span(payload.size());
+  std::memcpy(bytes.data(), payload.data(), bytes.size());
+  bytes[static_cast<std::size_t>(seq) % bytes.size()] ^=
+      static_cast<std::uint8_t>(1u << (seq % 8));
+  payload = std::move(copy).take_slice();
 }
 
 StreamListener::StreamListener(netsim::Host& host, netsim::IpProto proto,

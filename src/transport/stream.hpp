@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -20,12 +21,61 @@
 
 #include "netsim/network.hpp"
 #include "transport/reassembly.hpp"
-#include "transport/ring_buffer.hpp"
+#include "wire/buffer.hpp"
 
 namespace kmsg::transport {
 
 /// Payload bytes per data segment, for every stream engine: the path MTU.
 inline constexpr std::size_t kStreamMss = netsim::kDefaultMtuPayload;
+
+/// The send buffer of every stream engine: a bounded run of stream bytes
+/// addressed by absolute, monotonically growing offset. Bytes are appended
+/// at end(), read back at any retained offset for (re)transmission, and
+/// released from base() as they are acknowledged.
+///
+/// It holds the written slices themselves, each pinning its slab until the
+/// peer acknowledges its last byte, so a frame handed to write() is never
+/// copied on the way in. A segment inside one slice is a view of it; only a
+/// segment straddling two slices is copied, once, into a pooled slab.
+/// capacity() bounds the bytes held (the paper's send-buffer size, up to
+/// 100 MiB for UDT); no storage is reserved for it.
+class SendBuffer {
+ public:
+  explicit SendBuffer(std::size_t capacity);
+
+  std::size_t capacity() const { return capacity_; }
+  /// Absolute offset of the first retained (unacknowledged) byte.
+  std::uint64_t base() const { return base_; }
+  /// Absolute offset one past the last appended byte.
+  std::uint64_t end() const { return end_; }
+  std::size_t size() const { return static_cast<std::size_t>(end_ - base_); }
+  std::size_t free_space() const { return capacity_ - size(); }
+  bool empty() const { return base_ == end_; }
+
+  /// Appends the longest prefix of `data` that fits and returns its length.
+  /// An owning slice is kept as is; a borrowed one is copied (to_owned).
+  std::size_t write(wire::BufSlice data);
+
+  /// The `len` bytes at absolute offset `at`. Requires [at, at+len) within
+  /// [base, end); throws std::out_of_range otherwise.
+  wire::BufSlice read_at(std::uint64_t at, std::size_t len) const;
+
+  /// Releases all bytes below absolute offset `to` (clamped to [base, end]).
+  void release_until(std::uint64_t to);
+
+ private:
+  struct Entry {
+    std::uint64_t start;  ///< absolute offset of bytes[0]
+    wire::BufSlice bytes;
+  };
+
+  std::size_t capacity_;
+  /// Contiguous: each entry starts where the previous one ends; the front
+  /// one may begin below base_ (partly acknowledged).
+  std::deque<Entry> entries_;
+  std::uint64_t base_ = 0;
+  std::uint64_t end_ = 0;
+};
 
 enum class ConnState : std::uint8_t {
   kConnecting,
@@ -55,9 +105,14 @@ class StreamConnection
   StreamConnection(const StreamConnection&) = delete;
   StreamConnection& operator=(const StreamConnection&) = delete;
 
-  /// Appends bytes to the send buffer; returns how many were accepted
-  /// (possibly 0 when the buffer is full). Never blocks.
-  std::size_t write(std::span<const std::uint8_t> data);
+  /// Appends a prefix of `data` to the send buffer; returns how many bytes
+  /// were accepted (possibly 0 when the buffer is full). Never blocks. An
+  /// owning slice is held, not copied, until the peer acknowledges it.
+  std::size_t write(wire::BufSlice data);
+  /// As above for bytes the caller keeps: the accepted prefix is copied.
+  std::size_t write(std::span<const std::uint8_t> data) {
+    return write(wire::BufSlice::borrowed(data));
+  }
   /// Free space currently available in the send buffer.
   std::size_t writable_bytes() const;
   /// Bytes accepted but not yet acknowledged by the peer (send backlog).
@@ -147,9 +202,9 @@ class StreamConnection
   void notify_writable();
   /// Corruption model: a checksum-escaping bit error flips one payload bit
   /// at a position derived from the segment's sequence number, leaving
-  /// detection to the wire-framing CRC.
-  static void flip_payload_bit(std::vector<std::uint8_t>& payload,
-                               std::uint64_t seq);
+  /// detection to the wire-framing CRC. `payload` is replaced by a flipped
+  /// copy: the bytes it viewed may be the sender's, held for retransmission.
+  static void flip_payload_bit(wire::BufSlice& payload, std::uint64_t seq);
 
   /// Schedules `(self.*fn)()` after `delay`; the timer holds only a weak
   /// reference, so it fires into nothing once the connection is gone.
@@ -167,7 +222,7 @@ class StreamConnection
   const netsim::HostId peer_;
   netsim::Port peer_port_;
   ConnStats stats_;
-  RingBuffer send_buf_;
+  SendBuffer send_buf_;
   std::uint64_t snd_una_ = 0;   ///< oldest unacknowledged byte
   std::uint64_t next_seq_ = 0;  ///< next byte to transmit
   ReassemblyBuffer reasm_;

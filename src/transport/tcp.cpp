@@ -22,7 +22,7 @@ struct TcpSegment : netsim::DatagramBody {
   /// SACK blocks: the receiver's missing byte ranges (what it has NOT got),
   /// equivalent information to RFC 2018 blocks but hole-oriented.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> sack_holes;
-  std::vector<std::uint8_t> payload;
+  wire::BufSlice payload;
 };
 
 namespace {
@@ -416,7 +416,7 @@ void TcpConnection::handle_established(const TcpSegment& seg) {
   if (!seg.sack_holes.empty()) handle_sack(seg.sack_holes);
 
   if (!seg.payload.empty()) {
-    deliver(seg.seq, {seg.payload.data(), seg.payload.size()});
+    deliver(seg.seq, seg.payload.span());
     // Acknowledge all data (also out-of-order: dup ACKs drive fast rexmit).
     send_ack();
   }

@@ -15,7 +15,7 @@ struct UdtData : netsim::DatagramBody {
   std::uint64_t seq = 0;
   bool probe_head = false;  ///< first packet of a packet-pair probe
   bool probe_tail = false;  ///< second packet of a packet-pair probe
-  std::vector<std::uint8_t> payload;
+  wire::BufSlice payload;
 };
 
 struct UdtAck : netsim::DatagramBody {
@@ -340,7 +340,7 @@ void UdtConnection::handle_data(const UdtData& pkt) {
   estimate_bandwidth(pkt);
   const std::uint64_t prev_highest = reasm_.highest_seen();
   recv_bytes_interval_ +=
-      deliver(pkt.seq, {pkt.payload.data(), pkt.payload.size()});
+      deliver(pkt.seq, pkt.payload.span());
   // Immediate NAK on first gap detection (UDT sends NAK as soon as a
   // sequence discontinuity is observed). Register the hole for paced
   // re-NAKs.

@@ -4,7 +4,7 @@
 
 #include "common/rng.hpp"
 #include "transport/reassembly.hpp"
-#include "transport/ring_buffer.hpp"
+#include "transport/stream.hpp"
 
 namespace kmsg::transport {
 namespace {
@@ -15,150 +15,205 @@ std::vector<std::uint8_t> bytes(std::initializer_list<int> xs) {
   return out;
 }
 
-// --- RingBuffer ---
+// --- SendBuffer ---
 
-TEST(RingBufferTest, WriteReadRelease) {
-  RingBuffer rb(16);
+wire::BufSlice slice_of(const std::vector<std::uint8_t>& v) {
+  return wire::BufSlice::copy_of({v.data(), v.size()});
+}
+
+std::vector<std::uint8_t> vec(const wire::BufSlice& s) {
+  return {s.span().begin(), s.span().end()};
+}
+
+std::vector<std::uint8_t> random_bytes(Rng& rng, std::size_t n) {
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+TEST(SendBufferTest, WriteReadRelease) {
+  SendBuffer sb(16);
   auto data = bytes({1, 2, 3, 4, 5});
-  EXPECT_EQ(rb.write(data), 5u);
-  EXPECT_EQ(rb.size(), 5u);
-  EXPECT_EQ(rb.read_at(0, 5), data);
-  EXPECT_EQ(rb.read_at(2, 2), bytes({3, 4}));
-  rb.release_until(3);
-  EXPECT_EQ(rb.base(), 3u);
-  EXPECT_EQ(rb.size(), 2u);
-  EXPECT_EQ(rb.read_at(3, 2), bytes({4, 5}));
+  EXPECT_EQ(sb.write(slice_of(data)), 5u);
+  EXPECT_EQ(sb.size(), 5u);
+  EXPECT_EQ(vec(sb.read_at(0, 5)), data);
+  EXPECT_EQ(vec(sb.read_at(2, 2)), bytes({3, 4}));
+  sb.release_until(3);
+  EXPECT_EQ(sb.base(), 3u);
+  EXPECT_EQ(sb.size(), 2u);
+  EXPECT_EQ(vec(sb.read_at(3, 2)), bytes({4, 5}));
 }
 
-TEST(RingBufferTest, PartialWriteWhenFull) {
-  RingBuffer rb(4);
+TEST(SendBufferTest, PartialWriteWhenFull) {
+  SendBuffer sb(4);
   auto data = bytes({1, 2, 3, 4, 5, 6});
-  EXPECT_EQ(rb.write(data), 4u);
-  EXPECT_EQ(rb.free_space(), 0u);
-  EXPECT_EQ(rb.write(data), 0u);
-  rb.release_until(2);
-  EXPECT_EQ(rb.write(data), 2u);
-  EXPECT_EQ(rb.read_at(4, 2), bytes({1, 2}));
+  EXPECT_EQ(sb.write(slice_of(data)), 4u);
+  EXPECT_EQ(sb.free_space(), 0u);
+  EXPECT_EQ(sb.write(slice_of(data)), 0u);
+  sb.release_until(2);
+  EXPECT_EQ(sb.write(slice_of(data)), 2u);
+  EXPECT_EQ(vec(sb.read_at(4, 2)), bytes({1, 2}));
+  EXPECT_EQ(vec(sb.read_at(2, 4)), bytes({3, 4, 1, 2}));
 }
 
-TEST(RingBufferTest, WrapAroundPreservesContent) {
-  // Property: the retained window always equals the corresponding slice of
-  // the full byte history, across arbitrary write/release interleavings
-  // (exercising wrap-around many times at capacity 8).
-  RingBuffer rb(8);
+TEST(SendBufferTest, RetainedWindowMatchesTheHistory) {
+  // Property: every read of the retained window equals the corresponding
+  // slice of the full byte history, across arbitrary write / partial-write /
+  // release interleavings, for reads inside one write and across several.
+  SendBuffer sb(64);
   Rng rng(1);
   std::vector<std::uint8_t> history;  // every byte ever accepted
-  for (int round = 0; round < 500; ++round) {
-    const std::size_t n = 1 + rng.next_below(5);
-    std::vector<std::uint8_t> chunk(n);
-    for (auto& b : chunk) b = static_cast<std::uint8_t>(rng.next());
-    const std::size_t written = rb.write(chunk);
+  for (int round = 0; round < 2000; ++round) {
+    const auto chunk = random_bytes(rng, 1 + rng.next_below(24));
+    const std::size_t written = sb.write(slice_of(chunk));
+    ASSERT_EQ(written, std::min(chunk.size(), sb.capacity() - (history.size() -
+                                                              sb.base())));
     history.insert(history.end(), chunk.begin(),
                    chunk.begin() + static_cast<std::ptrdiff_t>(written));
-    ASSERT_EQ(rb.end(), history.size());
-    if (rb.size() > 0) {
-      const auto window = rb.read_at(rb.base(), rb.size());
-      for (std::size_t i = 0; i < window.size(); ++i) {
-        ASSERT_EQ(window[i], history[static_cast<std::size_t>(rb.base()) + i])
-            << "round " << round << " index " << i;
-      }
+    ASSERT_EQ(sb.end(), history.size());
+    ASSERT_LE(sb.size(), sb.capacity());
+    if (sb.size() > 0) {
+      const std::uint64_t at = sb.base() + rng.next_below(sb.size());
+      const std::size_t len =
+          1 + rng.next_below(static_cast<std::size_t>(sb.end() - at));
+      const auto got = sb.read_at(at, len);
+      ASSERT_EQ(got.size(), len);
+      ASSERT_TRUE(std::equal(got.span().begin(), got.span().end(),
+                             history.begin() + static_cast<std::ptrdiff_t>(at)))
+          << "round " << round;
     }
-    rb.release_until(rb.base() + rng.next_below(rb.size() + 1));
+    sb.release_until(sb.base() + rng.next_below(sb.size() + 1));
   }
 }
 
-TEST(RingBufferTest, ReadOutsideRangeThrows) {
-  RingBuffer rb(8);
-  rb.write(bytes({1, 2, 3}));
-  EXPECT_THROW(rb.read_at(0, 4), std::out_of_range);
-  rb.release_until(2);
-  EXPECT_THROW(rb.read_at(1, 1), std::out_of_range);
-  EXPECT_NO_THROW(rb.read_at(2, 1));
+TEST(SendBufferTest, ReadOutsideRangeThrows) {
+  SendBuffer sb(8);
+  sb.write(slice_of(bytes({1, 2, 3})));
+  EXPECT_THROW(sb.read_at(0, 4), std::out_of_range);
+  sb.release_until(2);
+  EXPECT_THROW(sb.read_at(1, 1), std::out_of_range);
+  EXPECT_NO_THROW(sb.read_at(2, 1));
 }
 
-TEST(RingBufferTest, ReleaseClamped) {
-  RingBuffer rb(8);
-  rb.write(bytes({1, 2, 3}));
-  rb.release_until(100);  // clamped to end
-  EXPECT_EQ(rb.base(), 3u);
-  EXPECT_TRUE(rb.empty());
-  rb.release_until(0);  // cannot go backwards
-  EXPECT_EQ(rb.base(), 3u);
+TEST(SendBufferTest, ReleaseClamped) {
+  SendBuffer sb(8);
+  sb.write(slice_of(bytes({1, 2, 3})));
+  sb.release_until(100);  // clamped to end
+  EXPECT_EQ(sb.base(), 3u);
+  EXPECT_TRUE(sb.empty());
+  sb.release_until(0);  // cannot go backwards
+  EXPECT_EQ(sb.base(), 3u);
 }
 
-TEST(RingBufferTest, ZeroCapacityRejected) {
-  EXPECT_THROW(RingBuffer(0), std::invalid_argument);
+TEST(SendBufferTest, ZeroCapacityRejected) {
+  EXPECT_THROW(SendBuffer(0), std::invalid_argument);
 }
 
-// Storage grows with the bytes held, not with the configured capacity.
-
-TEST(RingBufferGrowthTest, FreshRingHoldsNoStorage) {
-  RingBuffer rb(std::size_t{100} << 20);
-  EXPECT_EQ(rb.capacity(), std::size_t{100} << 20);
-  EXPECT_EQ(rb.free_space(), rb.capacity());
-  EXPECT_EQ(rb.storage_bytes(), 0u);
-  rb.write(bytes({1}));
-  EXPECT_EQ(rb.storage_bytes(), RingBuffer::kInitialStorage);
+TEST(SendBufferTest, FreshBufferHoldsNothing) {
+  SendBuffer sb(std::size_t{100} << 20);
+  EXPECT_EQ(sb.capacity(), std::size_t{100} << 20);
+  EXPECT_EQ(sb.free_space(), sb.capacity());
+  EXPECT_TRUE(sb.empty());
+  EXPECT_EQ(sb.end(), 0u);
+  EXPECT_EQ(sb.write(wire::BufSlice{}), 0u);
+  EXPECT_TRUE(sb.empty());
 }
 
-TEST(RingBufferGrowthTest, GrowingWhileWrappedKeepsContent) {
-  // The retained bytes straddle the end of the 64 KiB storage (base > 0)
-  // when a write forces the first doubling; they must be re-laid out modulo
-  // the new size and read back byte-exact.
-  constexpr std::size_t kInit = RingBuffer::kInitialStorage;
-  RingBuffer rb(std::size_t{1} << 20);
-  Rng rng(7);
-  std::vector<std::uint8_t> history;
-  const auto put = [&](std::size_t n) {
-    std::vector<std::uint8_t> chunk(n);
-    for (auto& b : chunk) b = static_cast<std::uint8_t>(rng.next());
-    ASSERT_EQ(rb.write(chunk), n);
-    history.insert(history.end(), chunk.begin(), chunk.end());
-  };
-  put(kInit - 1000);
-  rb.release_until(kInit / 2);
-  put(kInit / 4);  // wraps: end is past the storage size, base is not
-  ASSERT_EQ(rb.storage_bytes(), kInit);
-  ASSERT_GT(rb.base(), 0u);
-  ASSERT_GT(rb.base() % kInit, rb.end() % kInit);  // the bytes wrap
-  put(kInit);  // 3/4 of the initial size retained + kInit: must double
-  EXPECT_EQ(rb.storage_bytes(), 2 * kInit);
-  const auto window = rb.read_at(rb.base(), rb.size());
-  ASSERT_EQ(window.size(), rb.size());
-  EXPECT_TRUE(std::equal(window.begin(), window.end(),
-                         history.begin() + static_cast<std::ptrdiff_t>(rb.base())));
-}
-
-TEST(RingBufferGrowthTest, StorageNeverExceedsCapacity) {
-  // A capacity that is not a power-of-two multiple of the initial storage:
-  // the last doubling is capped, and wrap-around still preserves content.
-  const std::size_t cap = 3 * RingBuffer::kInitialStorage + 123;
-  RingBuffer rb(cap);
+TEST(SendBufferTest, BytesHeldNeverExceedCapacity) {
+  // A capacity that is no multiple of the write sizes: writes are cut to the
+  // free space, and releasing everything makes room for exactly the capacity.
+  const std::size_t cap = 3 * 65000 + 123;
+  SendBuffer sb(cap);
   Rng rng(3);
   std::vector<std::uint8_t> history;
   for (int round = 0; round < 200; ++round) {
-    std::vector<std::uint8_t> chunk(1 + rng.next_below(40000));
-    for (auto& b : chunk) b = static_cast<std::uint8_t>(rng.next());
-    const std::size_t written = rb.write(chunk);
+    const auto chunk = random_bytes(rng, 1 + rng.next_below(40000));
+    const std::size_t written = sb.write(slice_of(chunk));
     history.insert(history.end(), chunk.begin(),
                    chunk.begin() + static_cast<std::ptrdiff_t>(written));
-    ASSERT_LE(rb.storage_bytes(), rb.capacity());
-    ASSERT_GE(rb.storage_bytes(), rb.size());
-    if (rb.size() > 0) {
-      const auto window = rb.read_at(rb.base(), rb.size());
+    ASSERT_LE(sb.size(), sb.capacity());
+    if (sb.size() > 0) {
+      const auto window = sb.read_at(sb.base(), sb.size());
       ASSERT_TRUE(std::equal(
-          window.begin(), window.end(),
-          history.begin() + static_cast<std::ptrdiff_t>(rb.base())))
+          window.span().begin(), window.span().end(),
+          history.begin() + static_cast<std::ptrdiff_t>(sb.base())))
           << "round " << round;
     }
-    rb.release_until(rb.base() + rng.next_below(rb.size() + 1));
+    sb.release_until(sb.base() + rng.next_below(sb.size() + 1));
   }
-  // Filling to the limit grows storage to exactly the capacity.
-  rb.release_until(rb.end());
-  const std::vector<std::uint8_t> full(cap, 0x5A);
-  EXPECT_EQ(rb.write(full), cap);
-  EXPECT_EQ(rb.storage_bytes(), cap);
-  EXPECT_EQ(rb.read_at(rb.base(), cap), full);
+  sb.release_until(sb.end());
+  const std::vector<std::uint8_t> full(cap + 1, 0x5A);
+  EXPECT_EQ(sb.write(slice_of(full)), cap);
+  EXPECT_EQ(sb.free_space(), 0u);
+  EXPECT_EQ(vec(sb.read_at(sb.base(), cap)),
+            std::vector<std::uint8_t>(cap, 0x5A));
+}
+
+// The buffer holds the written frames themselves: no byte is copied on the
+// way in, and a segment inside one frame is a view of it.
+TEST(SendBufferTest, InFrameReadSharesTheFrameSlab) {
+  Rng rng(5);
+  const auto frame_bytes = random_bytes(rng, 65000);
+  const auto frame = slice_of(frame_bytes);
+  SendBuffer sb(std::size_t{1} << 20);
+  wire::SlabPool::instance().reset_stats();
+  EXPECT_EQ(sb.write(frame), frame.size());
+  EXPECT_EQ(frame.ref_count(), 2u);  // ours and the buffer's
+  const auto seg = sb.read_at(1400, kStreamMss);
+  EXPECT_EQ(frame.ref_count(), 3u);
+  EXPECT_EQ(seg.data(), frame.data() + 1400);
+  EXPECT_EQ(wire::SlabPool::instance().stats().payload_bytes_copied, 0u);
+  EXPECT_TRUE(std::equal(seg.span().begin(), seg.span().end(),
+                         frame_bytes.begin() + 1400));
+}
+
+TEST(SendBufferTest, StraddlingReadCopiesOneSegment) {
+  Rng rng(6);
+  const auto first = random_bytes(rng, 1000);
+  const auto second = random_bytes(rng, 2 * kStreamMss);
+  SendBuffer sb(std::size_t{1} << 20);
+  sb.write(slice_of(first));
+  sb.write(slice_of(second));
+  wire::SlabPool::instance().reset_stats();
+  const auto seg = sb.read_at(200, kStreamMss);  // 800 + (MSS - 800) bytes
+  EXPECT_EQ(wire::SlabPool::instance().stats().payload_bytes_copied, kStreamMss);
+  std::vector<std::uint8_t> want(first.begin() + 200, first.end());
+  want.insert(want.end(), second.begin(),
+              second.begin() + static_cast<std::ptrdiff_t>(kStreamMss - 800));
+  EXPECT_EQ(vec(seg), want);
+  EXPECT_TRUE(seg.owning());
+}
+
+TEST(SendBufferTest, RetransmitReadAfterPartialRelease) {
+  // An ACK inside a frame releases its head; the unacknowledged rest stays
+  // readable from the same frame for retransmission.
+  Rng rng(7);
+  const auto frame_bytes = random_bytes(rng, 3 * kStreamMss);
+  const auto frame = slice_of(frame_bytes);
+  SendBuffer sb(std::size_t{1} << 20);
+  sb.write(frame);
+  sb.write(slice_of(random_bytes(rng, 3000)));
+  sb.release_until(4200);
+  EXPECT_EQ(sb.base(), 4200u);
+  EXPECT_EQ(sb.size(), frame.size() + 3000 - 4200);
+  EXPECT_THROW(sb.read_at(4199, 1), std::out_of_range);
+  const auto seg = sb.read_at(4200, kStreamMss);
+  EXPECT_EQ(seg.data(), frame.data() + 4200);
+  EXPECT_TRUE(std::equal(seg.span().begin(), seg.span().end(),
+                         frame_bytes.begin() + 4200));
+  // Releasing past the frame's end lets go of it.
+  sb.release_until(frame.size());
+  EXPECT_EQ(frame.ref_count(), 2u);  // ours and `seg`
+}
+
+TEST(SendBufferTest, BorrowedBytesAreCopiedOnlyAsFarAsAccepted) {
+  const std::vector<std::uint8_t> data(100, 7);
+  SendBuffer sb(60);
+  wire::SlabPool::instance().reset_stats();
+  EXPECT_EQ(sb.write(wire::BufSlice::borrowed({data.data(), data.size()})), 60u);
+  EXPECT_EQ(wire::SlabPool::instance().stats().payload_bytes_copied, 60u);
+  EXPECT_TRUE(sb.read_at(0, 60).owning());
+  EXPECT_EQ(vec(sb.read_at(0, 60)), std::vector<std::uint8_t>(60, 7));
 }
 
 // --- ReassemblyBuffer ---

@@ -324,6 +324,38 @@ TEST_F(TcpFixture, SenderGivesUpWhenPeerVanishes) {
   EXPECT_GE(client->stats().timeouts, 4u);
 }
 
+// A corrupted segment reaches the receiver as a flipped copy. The segment
+// viewed the sender's own frame, which the send buffer still holds for
+// retransmission; the flip must not reach those bytes.
+TEST_F(TcpFixture, CorruptedSegmentLeavesTheSendersFrameIntact) {
+  net = std::make_unique<netsim::Network>(sim, 11);
+  a = &net->add_host();
+  b = &net->add_host();
+  auto dirty = fast_link();
+  dirty.corrupt_rate = 0.2;
+  net->add_link(a->id(), b->id(), dirty);
+  net->add_link(b->id(), a->id(), fast_link());
+  std::shared_ptr<TcpConnection> server;
+  std::vector<std::uint8_t> received;
+  TcpConnection::Listener listener(*b, 80, {}, [&](auto conn) {
+    server = conn;
+    server->set_on_data([&](std::span<const std::uint8_t> d) {
+      received.insert(received.end(), d.begin(), d.end());
+    });
+  });
+  auto client = TcpConnection::connect(*a, b->id(), 80, {});
+  const auto data = pattern_bytes(200'000, 3);
+  const auto frame = wire::BufSlice::copy_of({data.data(), data.size()});
+  client->set_on_connected([&] { client->write(frame); });
+  sim.run();
+  ASSERT_GT(net->link(a->id(), b->id())->stats().corrupted, 0u);
+  ASSERT_EQ(received.size(), data.size());
+  EXPECT_NE(received, data) << "no flipped bit reached the receiver";
+  EXPECT_EQ(client->stats().bytes_written, data.size());
+  EXPECT_TRUE(std::equal(frame.span().begin(), frame.span().end(), data.begin()))
+      << "the flip reached the sender's frame";
+}
+
 // Golden fingerprint of one TCP transfer through loss, duplication,
 // corruption and reordering (see stream_fingerprint.hpp).
 TEST(TcpFingerprint, FaultyLinkTransferIsPinned) {

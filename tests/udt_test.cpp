@@ -278,6 +278,38 @@ TEST_F(UdtFixture, WritableCallbackFiresAfterBufferDrain) {
   EXPECT_TRUE(writable);
 }
 
+// A corrupted packet reaches the receiver as a flipped copy. The packet
+// viewed the sender's own frame, which the send buffer still holds for
+// retransmission; the flip must not reach those bytes.
+TEST_F(UdtFixture, CorruptedPacketLeavesTheSendersFrameIntact) {
+  net = std::make_unique<netsim::Network>(sim, 11);
+  a = &net->add_host();
+  b = &net->add_host();
+  auto dirty = fast_link();
+  dirty.corrupt_rate = 0.2;
+  net->add_link(a->id(), b->id(), dirty);
+  net->add_link(b->id(), a->id(), fast_link());
+  std::shared_ptr<UdtConnection> server;
+  std::vector<std::uint8_t> received;
+  UdtConnection::Listener listener(*b, 90, {}, [&](auto conn) {
+    server = conn;
+    server->set_on_data([&](std::span<const std::uint8_t> d) {
+      received.insert(received.end(), d.begin(), d.end());
+    });
+  });
+  auto client = UdtConnection::connect(*a, b->id(), 90, {});
+  const auto data = pattern_bytes(200'000, 3);
+  const auto frame = wire::BufSlice::copy_of({data.data(), data.size()});
+  client->set_on_connected([&] { client->write(frame); });
+  sim.run_until(TimePoint::zero() + Duration::seconds(10.0));
+  ASSERT_GT(net->link(a->id(), b->id())->stats().corrupted, 0u);
+  ASSERT_EQ(received.size(), data.size());
+  EXPECT_NE(received, data) << "no flipped bit reached the receiver";
+  EXPECT_EQ(client->stats().bytes_written, data.size());
+  EXPECT_TRUE(std::equal(frame.span().begin(), frame.span().end(), data.begin()))
+      << "the flip reached the sender's frame";
+}
+
 // Golden fingerprint of one UDT transfer through loss, duplication,
 // corruption and reordering (see stream_fingerprint.hpp).
 TEST(UdtFingerprint, FaultyLinkTransferIsPinned) {
