@@ -311,9 +311,8 @@ detail::MailboxNode* ComponentCore::mailbox_pop_public() {
 // Consumer-side emptiness peek over both mailboxes. The public tail always
 // points at the stub or at a still-pending node, so that queue is empty
 // exactly when the tail is the stub with no successor and no producer has
-// exchanged the head away. The seq_cst loads order this check after
-// execute()'s scheduled_ store, which closes the lost-wakeup window (see the
-// protocol note in enqueue).
+// exchanged the head away. Only the run that holds scheduled_ may call it:
+// it reads the consumer-owned tail and private queue.
 bool ComponentCore::mailbox_nonempty() {
   if (priv_head_ != nullptr) return true;
   MailboxNode* tail = mailbox_tail_;
@@ -363,7 +362,7 @@ void ComponentCore::enqueue(PortInstance* at, EventPtr ev) {
   mailbox_push_public(node);
   // Wakeup protocol: if scheduled_ is already set, the execute() run that
   // owns it either pops our node or — after clearing the flag — re-checks
-  // mailbox_nonempty() with seq_cst loads ordered after our (seq_cst) push,
+  // the public head with a seq_cst load ordered after our (seq_cst) push,
   // so the event cannot be stranded. The plain load first keeps the steady
   // state (already scheduled) free of lock-prefixed RMWs.
   if (!scheduled_.load(std::memory_order_seq_cst) &&
@@ -417,25 +416,25 @@ void ComponentCore::execute() {
     if (faulted) on_fault_();
     if (state_ == LifeState::kDead) break;  // finalized while handling Kill
   }
-  if (processed == max_events && mailbox_nonempty()) {
-    // Budget exhausted with work left: stay marked scheduled and go to the
-    // back of the scheduler's FIFO (fairness).
+  // Decide emptiness while this run still owns the consumer side: once
+  // scheduled_ is released another worker may run this core and write
+  // mailbox_tail_ / priv_head_. Work left (budget exhausted, or a producer
+  // mid-push) keeps the flag and goes to the back of the scheduler's FIFO.
+  if (mailbox_nonempty()) {
     system_.scheduler().schedule(this);
     return;
   }
   if (pool_ == nullptr) {
     // Single-threaded contract: no concurrent producer to race the flag.
     scheduled_.store(false, std::memory_order_relaxed);
-    if (mailbox_nonempty()) {
-      scheduled_.store(true, std::memory_order_relaxed);
-      system_.scheduler().schedule(this);
-    }
     return;
   }
+  // Empty means the public head is the stub, and only this thread pushes to
+  // the private queue. After the release, a producer that pushed since the
+  // check has exchanged the head away; one that pushes later sees the flag
+  // clear and schedules the core itself.
   scheduled_.store(false, std::memory_order_seq_cst);
-  // Re-check: a producer may have pushed between the final failed pop and
-  // the store above (or mid-push made pop report empty transiently).
-  if (mailbox_nonempty() &&
+  if (mailbox_head_.load(std::memory_order_seq_cst) != &stub_ &&
       !scheduled_.exchange(true, std::memory_order_seq_cst)) {
     system_.scheduler().schedule(this);
   }
