@@ -209,6 +209,7 @@ void StreamConnection::flip_payload_bit(wire::BufSlice& payload,
   wire::ByteBuf copy{payload.size()};
   const auto bytes = copy.write_span(payload.size());
   std::memcpy(bytes.data(), payload.data(), bytes.size());
+  wire::SlabPool::instance().count_payload_copy(bytes.size());
   bytes[static_cast<std::size_t>(seq) % bytes.size()] ^=
       static_cast<std::uint8_t>(1u << (seq % 8));
   payload = std::move(copy).take_slice();

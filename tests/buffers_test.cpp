@@ -117,6 +117,7 @@ TEST(SendBufferTest, FreshBufferHoldsNothing) {
   EXPECT_EQ(sb.end(), 0u);
   EXPECT_EQ(sb.write(wire::BufSlice{}), 0u);
   EXPECT_TRUE(sb.empty());
+  EXPECT_TRUE(sb.read_at(0, 0).empty());
 }
 
 TEST(SendBufferTest, BytesHeldNeverExceedCapacity) {
